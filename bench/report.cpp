@@ -159,6 +159,12 @@ void Reporter::add_plan_stats(const std::string& group,
              static_cast<double>(stats.max_wavefront), "count");
   add_scalar(group, "plan_avg_wavefront", stats.avg_wavefront, "count");
   add_scalar(group, "plan_bytes", static_cast<double>(stats.bytes), "bytes");
+  // Point-to-point wait lists (0 under every other executor): how many
+  // cross-processor waits one run performs and the bytes they occupy
+  // (already part of plan_bytes).
+  add_scalar(group, "plan_waits", static_cast<double>(stats.waits), "count");
+  add_scalar(group, "plan_wait_bytes", static_cast<double>(stats.wait_bytes),
+             "bytes");
   // Bind-time execution layout packing (kernel/layout.hpp): 0 for a bare
   // plan or a gather-only build; BoundKernel::stats() fills it in.
   add_scalar(group, "plan_layout_bytes",

@@ -230,10 +230,14 @@ int main(int argc, char** argv) {
         st.phases, st.max_wavefront, st.avg_wavefront);
     std::printf(
         "plan footprint   : %.1f KiB flat CSR (%.1f B/row: dependence CSR + "
-        "wavefront membership + schedule)\n",
+        "wavefront membership + schedule + wait lists)\n",
         static_cast<double>(st.bytes) / 1024.0,
         st.n > 0 ? static_cast<double>(st.bytes) / static_cast<double>(st.n)
                  : 0.0);
+    std::printf(
+        "p2p waits        : %zu cross-processor wait(s) per run, %.1f KiB of "
+        "wait lists (default point-to-point executor)\n",
+        st.waits, static_cast<double>(st.wait_bytes) / 1024.0);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

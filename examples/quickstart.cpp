@@ -6,8 +6,10 @@
 //
 // where the indirection array `ia` is only known at run time. The
 // inspector derives the dependence DAG from `ia`, topologically sorts it
-// into wavefronts, and the self-executing executor runs the loop in
-// parallel while preserving every dependence.
+// into wavefronts, and the default point-to-point executor runs the loop
+// in parallel while preserving every dependence: each processor runs its
+// contiguous chunk of every wavefront and waits only on the progress
+// counters of the processors it reads from.
 
 #include <cstdio>
 #include <vector>
@@ -45,9 +47,7 @@ int main() {
 
   // 2. Inspector: wavefronts + schedule, paid once.
   WallTimer inspector_timer;
-  DoconsiderOptions opts;
-  opts.scheduling = SchedulingPolicy::kGlobal;
-  opts.execution = ExecutionPolicy::kSelfExecuting;
+  DoconsiderOptions opts;  // kGlobal scheduling, kPointToPoint execution
   const Plan plan(team, std::move(graph), opts);
   const double inspector_ms = inspector_timer.elapsed_ms();
 
@@ -76,6 +76,7 @@ int main() {
   }
 
   std::printf("doconsider quickstart: n = %d iterations\n", n);
+  std::printf("  executor        : point-to-point (the default)\n");
   std::printf("  wavefronts      : %d\n", plan.wavefronts().num_waves);
   std::printf("  inspector time  : %.2f ms (paid once)\n", inspector_ms);
   std::printf("  executor time   : %.2f ms (per execution)\n", executor_ms);

@@ -2,7 +2,7 @@
 // their own system.
 //
 //   solver_cli [--matrix FILE.mtx | --problem NAME] [--procs P]
-//              [--exec self|pre|doacross|selfsched|windowed]
+//              [--exec p2p|self|pre|doacross|selfsched|windowed|pipelined]
 //              [--window W] [--sched global|local]
 //              [--level K] [--rtol R] [--maxit N] [--rhs K]
 //              [--reorder none|rcm|wavefront]
@@ -52,7 +52,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--matrix FILE.mtx | --problem NAME] [--procs P]\n"
-      "          [--exec self|pre|doacross|selfsched|windowed|pipelined]\n"
+      "          [--exec p2p|self|pre|doacross|selfsched|windowed|pipelined]\n"
       "          [--window W] [--panel W] [--sched global|local]\n"
       "          [--level K] [--rtol R] [--maxit N] [--rhs K]\n"
       "          [--reorder none|rcm|wavefront]\n"
@@ -125,7 +125,9 @@ int main(int argc, char** argv) {
       if (nrhs < 1) return usage(argv[0]);
     } else if (arg == "--exec") {
       const std::string v = next();
-      if (v == "self") {
+      if (v == "p2p") {
+        opts.execution = ExecutionPolicy::kPointToPoint;
+      } else if (v == "self") {
         opts.execution = ExecutionPolicy::kSelfExecuting;
       } else if (v == "pre") {
         opts.execution = ExecutionPolicy::kPreScheduled;

@@ -21,12 +21,19 @@
 ///  * doacross (§5.1.2 baseline): the self-executing mechanism over the
 ///    *original* index order;
 ///  * self-scheduled / windowed: the fetch-and-add and bounded-skew
-///    extensions (§3; Nicol & Saltz [13]).
+///    extensions (§3; Nicol & Saltz [13]);
+///  * point-to-point (the default): the pre-scheduled slab walk with each
+///    barrier replaced by acquire-waits on the progress counters of only
+///    the processors a slab actually depends on (Park, Smelyanskiy,
+///    Sundaram and Dubey, "Sparsifying Synchronization for
+///    High-Performance Shared-Memory Sparse Triangular Solver", ISC 2014).
 namespace rtl {
 
 /// How the index set is reordered (§2.3).
 enum class SchedulingPolicy {
-  /// Topological sort of the whole index set, dealt wrapped to processors.
+  /// Topological sort of the whole index set, dealt wrapped to processors
+  /// (Figures 9 and 10); under kPointToPoint each wavefront's index-sorted
+  /// members are dealt in contiguous chunks instead.
   kGlobal,
   /// Fixed wrapped partition; each processor locally sorted by wavefront.
   kLocalWrapped,
@@ -56,12 +63,20 @@ enum class ExecutionPolicy {
   /// right-hand-side panels occupy different wavefronts simultaneously
   /// and no phase barrier is ever taken.
   kPipelined,
+  /// Point-to-point synchronization (the default): each processor walks
+  /// its (processor, phase) slabs like the pre-scheduled loop, but instead
+  /// of a barrier it acquire-waits only on the per-processor progress
+  /// counters its next slab depends on — a list derived at inspection —
+  /// and publishes its own progress with one release store per slab.
+  /// Under kGlobal the wavefronts are dealt in contiguous chunks so most
+  /// dependences stay on the producing processor.
+  kPointToPoint,
 };
 
 /// Plan options.
 struct DoconsiderOptions {
   SchedulingPolicy scheduling = SchedulingPolicy::kGlobal;
-  ExecutionPolicy execution = ExecutionPolicy::kSelfExecuting;
+  ExecutionPolicy execution = ExecutionPolicy::kPointToPoint;
   /// Run the inspector's wavefront sweep in parallel on the team (§2.3).
   /// Does not change the produced artifact, only how fast it is built.
   bool parallel_inspector = false;

@@ -28,8 +28,9 @@
 /// wavefronts + schedule + a deterministic structure fingerprint) whose
 /// `execute()` is const and safe to call concurrently from *distinct*
 /// thread teams; all per-execution mutable state (the ready array of
-/// Figure 4, the self-scheduling cursor) lives in an `ExecState` that is
-/// created — or transparently pooled — at execute() time.
+/// Figure 4, the self-scheduling cursor, the point-to-point progress
+/// counters) lives in an `ExecState` that is created — or transparently
+/// pooled — at execute() time.
 ///
 /// Because the inspector artifact is the executor's hot-path data
 /// structure, it is stored flat: the schedule and wavefront membership are
@@ -64,6 +65,11 @@ struct PlanStats {
   index_t max_wavefront = 0;
   /// Mean wavefront width (n / phases; 0 for an empty plan).
   double avg_wavefront = 0.0;
+  /// Cross-processor waits the point-to-point executor performs per run
+  /// (0 under every other policy).
+  std::size_t waits = 0;
+  /// Bytes of the point-to-point wait lists (included in `bytes`).
+  std::size_t wait_bytes = 0;
   /// Total bytes of the immutable artifact (== memory_footprint()).
   std::size_t bytes = 0;
   /// Bytes of the bind-time execution layout (kernel/layout.hpp) when the
@@ -73,14 +79,16 @@ struct PlanStats {
 };
 
 /// Per-execution mutable state: the shared ready array, the
-/// self-scheduling cursor, and — for the pipelined executor — the
+/// self-scheduling cursor, the point-to-point executor's per-processor
+/// progress counters, and — for the pipelined executor — the
 /// per-(row, panel) pending-dependence counters. One ExecState serves one
 /// execution at a time; distinct concurrent executions of the same `Plan`
 /// need distinct states (pass none to `Plan::execute` and one is pooled
 /// automatically).
 class ExecState {
  public:
-  /// State sized for `plan` (ready flags only when its policy uses them).
+  /// State sized for `plan` (ready flags and progress counters only when
+  /// its policy uses them).
   /// This is the only constructor: a state not sized for a plan would be
   /// out-of-bounds the moment a ready-using policy executes with it.
   explicit ExecState(const Plan& plan);
@@ -126,8 +134,22 @@ class ExecState {
     return remaining_;
   }
 
+  /// One point-to-point progress counter: the number of phases its
+  /// processor has published as done in the current run. Padded so a
+  /// processor's release stores never share a line with a peer's.
+  struct alignas(cache_line_size) Progress {
+    std::atomic<index_t> phases{0};
+  };
+  /// The point-to-point executor's per-processor counters, zeroed for the
+  /// next run: O(nproc) stores, never O(n). Must not race with a run.
+  [[nodiscard]] Progress* reset_progress() noexcept {
+    for (auto& c : progress_) c.phases.store(0, std::memory_order_relaxed);
+    return progress_.data();
+  }
+
  private:
   ReadyFlags ready_;
+  std::vector<Progress> progress_;
   index_t batch_width_ = 1;
   std::vector<std::atomic<index_t>> pending_;
   alignas(cache_line_size) std::atomic<index_t> cursor_{0};
@@ -178,8 +200,9 @@ class Plan {
   /// (or `body(tid, i)`) sweeps all `batch` right-hand sides of iteration
   /// i before returning. The synchronization cost is independent of the
   /// batch width — the pre-scheduled executor still pays one barrier per
-  /// wavefront phase and the flag-based executors one ready publish per
-  /// iteration, because `state`'s flags become batch-aware (see
+  /// wavefront phase, the point-to-point executor one progress store per
+  /// slab and the flag-based executors one ready publish per iteration,
+  /// because `state`'s flags become batch-aware (see
   /// `ExecState::prepare_batch`). The kernel layer
   /// (kernel/bound_kernel.hpp) is the intended caller.
   template <class Body>
@@ -217,17 +240,24 @@ class Plan {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
+  /// The point-to-point executor's per-slab wait lists (empty under every
+  /// other policy). Derived from the schedule at inspection and again on
+  /// load, never serialized.
+  [[nodiscard]] const SlabWaits& waits() const noexcept { return waits_; }
   /// Whether executions under this plan's policy use the ready array.
   /// (kPipelined tracks readiness in per-task pending counters instead,
-  /// which ExecState allocates lazily per execution width.)
+  /// which ExecState allocates lazily per execution width, and
+  /// kPointToPoint in per-processor progress counters.)
   [[nodiscard]] bool needs_ready_flags() const noexcept {
     return options_.execution != ExecutionPolicy::kPreScheduled &&
-           options_.execution != ExecutionPolicy::kPipelined;
+           options_.execution != ExecutionPolicy::kPipelined &&
+           options_.execution != ExecutionPolicy::kPointToPoint;
   }
 
   /// Bytes of the immutable artifact the executor walks: the dependence
-  /// CSR, the wavefront levels + membership CSR, and the flat schedule.
-  /// (Excludes per-execution ExecState pools — those are transient.)
+  /// CSR, the wavefront levels + membership CSR, the flat schedule and the
+  /// point-to-point wait lists. (Excludes per-execution ExecState pools —
+  /// those are transient.)
   [[nodiscard]] std::size_t memory_footprint() const noexcept {
     constexpr std::size_t idx = sizeof(index_t);
     std::size_t entries = graph_.ptr().size() + graph_.adj().size() +
@@ -240,7 +270,7 @@ class Plan {
       // readiness forward.
       entries += successors_.ptr().size() + successors_.adj().size();
     }
-    return entries * idx;
+    return entries * idx + waits_.bytes();
   }
 
   /// Shape-and-size summary (surfaced by inspect_cli and the bench JSON).
@@ -254,6 +284,8 @@ class Plan {
         st.phases > 0
             ? static_cast<double>(st.n) / static_cast<double>(st.phases)
             : 0.0;
+    st.waits = waits_.waits.size();
+    st.wait_bytes = waits_.bytes();
     st.bytes = memory_footprint();
     return st;
   }
@@ -280,7 +312,13 @@ class Plan {
                       : compute_wavefronts(graph_);
     switch (options_.scheduling) {
       case SchedulingPolicy::kGlobal:
-        schedule_ = global_schedule(wavefronts_, nproc_);
+        // The paper's executors keep the wrapped deal of Figures 9-10 (the
+        // §4.2 model and the paper tables assume it); point-to-point
+        // synchronization pays per cross-processor dependence, so it deals
+        // contiguous chunks.
+        schedule_ = options_.execution == ExecutionPolicy::kPointToPoint
+                        ? contiguous_schedule(wavefronts_, nproc_)
+                        : global_schedule(wavefronts_, nproc_);
         break;
       case SchedulingPolicy::kLocalWrapped:
         schedule_ = local_schedule(wavefronts_,
@@ -291,23 +329,17 @@ class Plan {
                                    block_partition(graph_.size(), nproc_));
         break;
     }
-    // The pipelined executor publishes readiness forward (producer ->
-    // consumers), so it needs the successor lists the predecessor CSR
-    // cannot give it in O(deg). Built once at inspector time, like every
-    // other artifact component.
-    if (options_.execution == ExecutionPolicy::kPipelined) {
-      successors_ = graph_.reversed();
-    }
+    derive_executor_data();
   }
 
   /// Adoption constructor (plan_io deserialization): take a pre-built,
   /// fully validated artifact without running the inspector. `options`
   /// must already be normalized and `fingerprint` must equal
   /// `graph.fingerprint()` — `load_plan` enforces both before reaching
-  /// this point. The successor adjacency of the pipelined executor is the
-  /// one derived component rebuilt here rather than deserialized: it is a
-  /// pure function of the dependence CSR, so rebuilding cannot disagree
-  /// with the image.
+  /// this point. The successor adjacency of the pipelined executor and the
+  /// point-to-point wait lists are rebuilt here rather than deserialized:
+  /// they are pure functions of the dependence CSR and the (validated)
+  /// loaded schedule, so rebuilding cannot disagree with the image.
   Plan(DependenceGraph graph, DoconsiderOptions options, int nproc,
        std::uint64_t fingerprint, WavefrontInfo wavefronts,
        Schedule schedule)
@@ -317,8 +349,19 @@ class Plan {
         fingerprint_(fingerprint),
         wavefronts_(std::move(wavefronts)),
         schedule_(std::move(schedule)) {
+    derive_executor_data();
+  }
+
+  /// Executor-specific components derived once from the graph and the
+  /// schedule: the pipelined executor publishes readiness forward
+  /// (producer -> consumers), so it needs the successor lists the
+  /// predecessor CSR cannot give it in O(deg); the point-to-point executor
+  /// needs its per-slab wait lists.
+  void derive_executor_data() {
     if (options_.execution == ExecutionPolicy::kPipelined) {
       successors_ = graph_.reversed();
+    } else if (options_.execution == ExecutionPolicy::kPointToPoint) {
+      waits_ = slab_waits(graph_, wavefronts_, schedule_);
     }
   }
 
@@ -355,6 +398,9 @@ class Plan {
         break;
       case ExecutionPolicy::kPipelined:
         run_pipelined(team, state, body);
+        break;
+      case ExecutionPolicy::kPointToPoint:
+        run_point_to_point(team, state, body);
         break;
     }
   }
@@ -638,6 +684,73 @@ class Plan {
     });
   }
 
+  /// Point-to-point executor: every processor walks its slabs in phase
+  /// order like the pre-scheduled loop, but instead of a barrier each slab
+  /// first acquire-waits on the progress counters its wait list names —
+  /// only the producers it reads, only as far as it reads them — and ends
+  /// with one release store of its own progress. Memory ordering: a
+  /// producer's body writes precede its release store; the consumer's
+  /// acquire load that observes the store precedes the consumer's body
+  /// reads, and every later slab of the consumer by program order (which
+  /// is why a wait an earlier slab already made can be dropped). No
+  /// n-sized state is touched and the per-run reset is O(nproc).
+  ///
+  /// Deadlock freedom: every wait names a strictly earlier phase of
+  /// another processor, and every processor publishes in phase order, so
+  /// by induction over phases every slab eventually runs. A throwing body
+  /// breaks that induction; the wait loop therefore also watches the
+  /// team's region-abort flag (only after a first load found the producer
+  /// behind) and leaves the region, after which `ThreadTeam::run`
+  /// rethrows the body's exception.
+  template <class Body>
+  void run_point_to_point(ThreadTeam& team, ExecState& state,
+                          Body& body) const {
+    ExecState::Progress* const progress = state.reset_progress();
+    team.run([&](int tid) {
+      const index_t* ord = schedule_.order.data();
+      const index_t* row = schedule_.phase_row(tid).data();
+      const index_t* wrow = waits_.row(tid);
+      const SlabWait* wl = waits_.waits.data();
+      std::atomic<index_t>& mine =
+          progress[static_cast<std::size_t>(tid)].phases;
+      std::uint64_t pubs = 0;
+      for (index_t w = 0; w < schedule_.num_phases; ++w) {
+        const auto ws = static_cast<std::size_t>(w);
+        if (row[ws] == row[ws + 1]) continue;  // empty slab: nothing to say
+        for (index_t k = wrow[ws]; k < wrow[ws + 1]; ++k) {
+          const SlabWait& wt = wl[static_cast<std::size_t>(k)];
+          if (!await_progress(
+                  team, progress[static_cast<std::size_t>(wt.proc)].phases,
+                  wt.phase + 1)) {
+            return;  // a peer threw; run() rethrows its exception
+          }
+        }
+        for (index_t k = row[ws]; k < row[ws + 1]; ++k) {
+          detail::invoke_body(body, tid, ord[static_cast<std::size_t>(k)]);
+        }
+        mine.store(w + 1, std::memory_order_release);
+        ++pubs;
+      }
+      team.add_exec_counters(pubs, 0, 0);
+    });
+  }
+
+  /// Acquire-wait until `counter` reaches `target`. The region-abort flag
+  /// is read only once a first load found the producer behind, so a
+  /// satisfied wait costs one load. False when a team member threw: the
+  /// producer may never publish again.
+  static bool await_progress(const ThreadTeam& team,
+                             const std::atomic<index_t>& counter,
+                             index_t target) noexcept {
+    if (counter.load(std::memory_order_acquire) >= target) return true;
+    SpinWait backoff;
+    do {
+      if (team.region_aborted()) return false;
+      backoff.wait_once();
+    } while (counter.load(std::memory_order_acquire) < target);
+    return true;
+  }
+
   /// RAII lease of a pooled ExecState.
   class StateLease {
    public:
@@ -673,6 +786,8 @@ class Plan {
   // Successor lists (graph_ reversed); built only for kPipelined, empty
   // otherwise.
   DependenceGraph successors_;
+  // Per-slab cross-processor waits; built only for kPointToPoint.
+  SlabWaits waits_;
 
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<ExecState>> pool_;
@@ -680,7 +795,10 @@ class Plan {
 
 inline ExecState::ExecState(const Plan& plan)
     : ready_(plan.needs_ready_flags() ? ReadyFlags(plan.size())
-                                      : ReadyFlags()) {}
+                                      : ReadyFlags()),
+      progress_(plan.options().execution == ExecutionPolicy::kPointToPoint
+                    ? static_cast<std::size_t>(plan.nproc())
+                    : 0) {}
 
 /// One-shot convenience: inspector + a single execution. Prefer building a
 /// `Plan` (or asking a `rtl::Runtime` for one) when the loop runs more

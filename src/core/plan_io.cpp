@@ -227,7 +227,8 @@ Header read_and_validate_header(Source& src) {
   if (scheduling > static_cast<std::uint32_t>(SchedulingPolicy::kLocalBlock)) {
     fail(PlanIoErrc::kBadHeader, "unknown scheduling policy");
   }
-  if (execution > static_cast<std::uint32_t>(ExecutionPolicy::kPipelined)) {
+  if (execution >
+      static_cast<std::uint32_t>(ExecutionPolicy::kPointToPoint)) {
     fail(PlanIoErrc::kBadHeader, "unknown execution policy");
   }
   if (instrumented > 1 || parallel_inspector > 1) {

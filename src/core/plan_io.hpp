@@ -59,7 +59,10 @@
 /// violation throws a typed `PlanIoError` — never a crash, hang, or a
 /// malformed plan. A loaded plan is indistinguishable from a freshly
 /// inspected one, including under `ExecutionPolicy::kPipelined` (the
-/// successor adjacency is rebuilt from the dependence CSR at load time).
+/// successor adjacency is rebuilt from the dependence CSR at load time)
+/// and `ExecutionPolicy::kPointToPoint` (the wait lists are re-derived
+/// from the loaded schedule, so the byte format carries no wait data and
+/// any schedule that passes validation executes correctly).
 namespace rtl {
 
 class Plan;

@@ -1,6 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace rtl {
@@ -81,6 +82,44 @@ Schedule global_schedule(const WavefrontInfo& wf, int nproc) {
   return s;
 }
 
+Schedule contiguous_schedule(const WavefrontInfo& wf, int nproc) {
+  if (nproc <= 0) {
+    throw std::invalid_argument("contiguous_schedule: nproc must be >= 1");
+  }
+  if (wf.order.size() != wf.wave.size() ||
+      wf.wave_ptr.size() != static_cast<std::size_t>(wf.num_waves) + 1) {
+    throw std::invalid_argument(
+        "contiguous_schedule: wavefront membership CSR not populated (build "
+        "WavefrontInfo via compute_wavefronts*)");
+  }
+  const index_t n = wf.size();
+  Schedule s;
+  s.nproc = nproc;
+  s.n = n;
+  s.num_phases = wf.num_waves;
+  s.order.resize(static_cast<std::size_t>(n));
+  init_phase_ptr(s);
+  s.proc_ptr.assign(static_cast<std::size_t>(nproc) + 1, 0);
+
+  // Processor p's slab of phase w is chunk p of wavefront w, appended to
+  // p's slice of the flat order in phase order.
+  for (int p = 0; p < nproc; ++p) {
+    index_t* row = phase_row_mut(s, p);
+    row[0] = s.proc_ptr[static_cast<std::size_t>(p)];
+    for (index_t w = 0; w < s.num_phases; ++w) {
+      const auto ws = static_cast<std::size_t>(w);
+      const index_t b = wf.wave_ptr[ws];
+      const BlockRange r = block_range(wf.wave_ptr[ws + 1] - b, p, nproc);
+      std::copy(wf.order.begin() + b + r.begin, wf.order.begin() + b + r.end,
+                s.order.begin() + row[ws]);
+      row[ws + 1] = row[ws] + (r.end - r.begin);
+    }
+    s.proc_ptr[static_cast<std::size_t>(p) + 1] =
+        row[static_cast<std::size_t>(s.num_phases)];
+  }
+  return s;
+}
+
 Schedule local_schedule(const WavefrontInfo& wf, const Partition& part) {
   const index_t n = wf.size();
   if (part.size() != n) {
@@ -149,6 +188,76 @@ Schedule original_order_schedule(index_t n, int nproc) {
     row[1] = s.proc_ptr[static_cast<std::size_t>(p) + 1];
   }
   return s;
+}
+
+namespace {
+
+/// The body of `slab_waits`, with the row -> processor map stored as
+/// `Owner`.
+template <typename Owner>
+void derive_slab_waits(const DependenceGraph& g, const WavefrontInfo& wf,
+                       const Schedule& s, SlabWaits& out) {
+  const int nproc = s.nproc;
+  const index_t num_phases = s.num_phases;
+  std::vector<Owner> owner(static_cast<std::size_t>(s.n));
+  for (int p = 0; p < nproc; ++p) {
+    for (const index_t i : s.proc(p)) {
+      owner[static_cast<std::size_t>(i)] = static_cast<Owner>(p);
+    }
+  }
+  // need[q]: latest phase of q the current slab reads (-1: none yet);
+  // waited[q]: latest phase of q this processor already waited for.
+  std::vector<index_t> need(static_cast<std::size_t>(nproc), -1);
+  std::vector<index_t> waited(static_cast<std::size_t>(nproc));
+  std::vector<int> touched;
+  touched.reserve(static_cast<std::size_t>(nproc));
+  const index_t* wave = wf.wave.data();
+  std::size_t slab = 0;
+  for (int p = 0; p < nproc; ++p) {
+    std::fill(waited.begin(), waited.end(), -1);
+    for (index_t w = 0; w < num_phases; ++w, ++slab) {
+      for (const index_t i : s.phase(p, w)) {
+        for (const index_t d : g.deps(i)) {
+          const int q = owner[static_cast<std::size_t>(d)];
+          const index_t wd = wave[d];
+          if (q == p || wd <= waited[static_cast<std::size_t>(q)]) continue;
+          index_t& nq = need[static_cast<std::size_t>(q)];
+          if (nq < 0) touched.push_back(q);
+          nq = std::max(nq, wd);
+        }
+      }
+      for (const int q : touched) {
+        index_t& nq = need[static_cast<std::size_t>(q)];
+        out.waits.push_back({q, nq});
+        waited[static_cast<std::size_t>(q)] = nq;
+        nq = -1;
+      }
+      touched.clear();
+      out.ptr[slab + 1] = static_cast<index_t>(out.waits.size());
+    }
+  }
+}
+
+}  // namespace
+
+SlabWaits slab_waits(const DependenceGraph& g, const WavefrontInfo& wf,
+                     const Schedule& s) {
+  SlabWaits out;
+  out.num_phases = s.num_phases;
+  out.ptr.assign(static_cast<std::size_t>(s.nproc) *
+                         static_cast<std::size_t>(s.num_phases) +
+                     1,
+                 0);
+  if (s.nproc == 1) return out;  // nobody to wait for
+  // The owner map is the derivation's one n-sized temporary (every plan
+  // build and every plan load pays it): one byte per row for any team of
+  // up to 256 processors keeps it a quarter of an index-wide map.
+  if (s.nproc <= 256) {
+    derive_slab_waits<std::uint8_t>(g, wf, s, out);
+  } else {
+    derive_slab_waits<int>(g, wf, s, out);
+  }
+  return out;
 }
 
 void validate_schedule(const Schedule& s, const WavefrontInfo& wf) {

@@ -21,6 +21,10 @@
 ///    (Figures 9 and 10), evenly splitting every wavefront;
 ///  * local scheduling — keep a fixed partition and stably reorder each
 ///    processor's own indices by wavefront number.
+///
+/// The point-to-point executor deals each wavefront in contiguous chunks
+/// instead (`contiguous_schedule`) and walks a per-slab list of
+/// cross-processor waits derived from any schedule (`slab_waits`).
 namespace rtl {
 
 /// Execution order and phase structure for every processor, stored flat
@@ -81,6 +85,16 @@ struct Schedule {
 /// so the work of every wavefront is evenly partitioned.
 [[nodiscard]] Schedule global_schedule(const WavefrontInfo& wf, int nproc);
 
+/// Contiguous global scheduling (the point-to-point executor's deal):
+/// each wavefront's index-sorted members are split into `nproc`
+/// contiguous chunks of near-equal size (the first `m mod nproc`
+/// processors take one extra), chunk p going to processor p. Every
+/// wavefront stays balanced within one, like the wrapped deal, but
+/// neighbouring indices — which in a sparse factor depend on each other —
+/// land on the same processor.
+[[nodiscard]] Schedule contiguous_schedule(const WavefrontInfo& wf,
+                                           int nproc);
+
 /// Local scheduling: keep `part`'s assignment; each processor's indices are
 /// stably reordered by increasing wavefront number.
 [[nodiscard]] Schedule local_schedule(const WavefrontInfo& wf,
@@ -90,6 +104,50 @@ struct Schedule {
 /// order striped over processors, every iteration its own phase locally
 /// (num_phases == 1; the doacross executor never uses phase boundaries).
 [[nodiscard]] Schedule original_order_schedule(index_t n, int nproc);
+
+/// One cross-processor wait of the point-to-point executor: before its
+/// slab runs, the waiting processor acquire-loads processor `proc`'s
+/// progress counter until phase `phase` is published as done.
+struct SlabWait {
+  index_t proc;
+  index_t phase;
+};
+
+/// The point-to-point executor's wait lists, flat: slab (p, w) — processor
+/// p's phase-w iterations — waits on
+/// `waits[ptr[p * num_phases + w] .. ptr[p * num_phases + w + 1])`.
+/// Every wait names another processor and a strictly earlier phase, and
+/// the list holds, per producer, only the latest phase the slab needs that
+/// no earlier slab of the same processor already waited for.
+struct SlabWaits {
+  index_t num_phases = 0;
+  /// nproc * num_phases + 1 offsets into `waits`.
+  std::vector<index_t> ptr;
+  std::vector<SlabWait> waits;
+
+  /// Processor p's num_phases+1 offsets into `waits`: slab (p, w) waits
+  /// on waits[row(p)[w] .. row(p)[w + 1]).
+  [[nodiscard]] const index_t* row(int p) const noexcept {
+    return ptr.data() +
+           static_cast<std::size_t>(p) * static_cast<std::size_t>(num_phases);
+  }
+  /// Bytes of the two arrays.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return ptr.size() * sizeof(index_t) + waits.size() * sizeof(SlabWait);
+  }
+};
+
+/// Derive the wait lists of schedule `s` (any validated schedule whose
+/// phases are the wavefronts `wf` of `g`): for every dependence i -> d
+/// whose producer d runs on another processor q, slab (owner(i), wave(i))
+/// must see q's phase wave(d) done. Per slab and producer only the latest
+/// needed phase is kept, and it is dropped when an earlier slab of the
+/// same processor already waited for that phase or a later one of q.
+/// O(n + edges) with an n-entry row -> processor map (one byte per row
+/// for teams of up to 256 processors).
+[[nodiscard]] SlabWaits slab_waits(const DependenceGraph& g,
+                                   const WavefrontInfo& wf,
+                                   const Schedule& s);
 
 /// Validation: every index appears exactly once, processor and phase
 /// pointers are monotone, consistent with each other and with wavefront

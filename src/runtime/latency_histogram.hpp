@@ -83,6 +83,9 @@ class LatencyHistogram {
   [[nodiscard]] static int bucket_of_ms(double ms) noexcept {
     const double us = ms * 1000.0;
     if (us < 2.0) return 0;
+    // A double at or past 2^64 (or NaN) has no uint64_t value — converting
+    // it is undefined — and belongs in the last bucket anyway.
+    if (!(us < 0x1p64)) return kBuckets - 1;
     // us >= 2 here, so the subtraction below cannot underflow.
     const auto u = static_cast<std::uint64_t>(us);
     const int b = 63 - std::countl_zero(u);

@@ -66,6 +66,7 @@ void ThreadTeam::run(const std::function<void(int)>& f) {
     return;
   }
   error_ = nullptr;
+  abort_.store(false, std::memory_order_relaxed);
   outstanding_.store(num_threads_ - 1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -77,8 +78,7 @@ void ThreadTeam::run(const std::function<void(int)>& f) {
   try {
     f(0);
   } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
+    record_error();
   }
 
   SpinWait backoff;
@@ -90,6 +90,14 @@ void ThreadTeam::run(const std::function<void(int)>& f) {
     std::exception_ptr e = error_;
     error_ = nullptr;
     std::rethrow_exception(e);
+  }
+}
+
+void ThreadTeam::record_error() {
+  const std::lock_guard<std::mutex> lock(error_mutex_);
+  if (!error_) {
+    error_ = std::current_exception();
+    abort_.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -126,8 +134,7 @@ void ThreadTeam::worker_loop(int tid) {
       try {
         (*f)(tid);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex_);
-        if (!error_) error_ = std::current_exception();
+        record_error();
       }
       outstanding_.fetch_sub(1, std::memory_order_release);
     }

@@ -81,11 +81,23 @@ class ThreadTeam {
   /// team.
   ///
   /// Exception policy: if any member throws, the first exception is
-  /// rethrown on the caller after all members finished. Bodies that other
-  /// members busy-wait on (self-executing loops) must not throw — a thrown
-  /// consumer leaves its flag unset and peers would spin forever; this
-  /// escape hatch exists for inspector-phase parallel code only.
+  /// recorded, the region-abort flag is raised (`region_aborted()`), and
+  /// the exception is rethrown on the caller after all members finished;
+  /// the next region starts with the flag clear. Whether a throwing loop
+  /// body is safe depends on the executor: the point-to-point executor
+  /// (the default) and the §5.1.2 rotating variants are abort-safe — the
+  /// former's waits watch the flag, the latter never actually wait. The ready
+  /// flags of the self-executing, doacross, self-scheduled and windowed
+  /// executors, the `SpinBarrier` of the pre-scheduled and windowed ones
+  /// and the pipelined executor's task countdown do not watch it, so a
+  /// body they run must not throw: its consumers would spin forever.
   void run(const std::function<void(int)>& f);
+
+  /// Whether a member of the current region has thrown. Slow-path wait
+  /// loops poll it to leave a region whose producer will never arrive.
+  [[nodiscard]] bool region_aborted() const noexcept {
+    return abort_.load(std::memory_order_relaxed);
+  }
 
   /// Convenience: statically partition `[0, n)` into contiguous blocks,
   /// one per member, and run `f(tid, begin, end)`.
@@ -127,6 +139,9 @@ class ThreadTeam {
 
  private:
   void worker_loop(int tid);
+  // Record the exception in flight as the region's first (if it is) and
+  // raise the abort flag. Called from a catch handler.
+  void record_error();
 
   const int num_threads_;
   SpinBarrier barrier_;
@@ -151,9 +166,11 @@ class ThreadTeam {
   std::atomic<int> outstanding_{0};
   bool shutdown_ = false;
 
-  // First exception thrown by any member during the current region.
+  // First exception thrown by any member during the current region, and
+  // the flag raised when it is recorded.
   std::mutex error_mutex_;
   std::exception_ptr error_;
+  alignas(cache_line_size) std::atomic<bool> abort_{false};
 };
 
 /// Sane default team size for a long-running process that also owns

@@ -297,7 +297,14 @@ std::shared_ptr<SolveService::FactorEntry> SolveService::build_entry(
   } catch (const std::invalid_argument& e) {
     fail(ServiceErrc::kBadRequest, e.what());
   }
-  entry->precond->factor(runtime_.team(), entry->a);
+  try {
+    entry->precond->factor(runtime_.team(), entry->a);
+  } catch (const std::runtime_error& e) {
+    // A zero pivot: the uploaded matrix has no ILU factorization. The
+    // default executor leaves the region when the row body throws, so the
+    // solver thread and its team stay usable for the next request.
+    fail(ServiceErrc::kBadRequest, e.what());
+  }
   return entry;
 }
 

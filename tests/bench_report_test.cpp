@@ -118,6 +118,8 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   st.phases = 10;
   st.max_wavefront = 30;
   st.avg_wavefront = 10.0;
+  st.waits = 37;
+  st.wait_bytes = 700;
   st.bytes = 4096;
   st.layout_bytes = 512;
   rep.add_plan_stats("P1", st);
@@ -141,6 +143,9 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   EXPECT_NE(json.find("\"metric\": \"plan_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"plan_layout_bytes\""),
             std::string::npos);
+  EXPECT_NE(json.find("\"metric\": \"plan_waits\""), std::string::npos);
+  EXPECT_NE(json.find("\"metric\": \"plan_wait_bytes\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"unit\": \"bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"group\": \"plan_cache\""), std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"hits\""), std::string::npos);
@@ -153,7 +158,9 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   EXPECT_NE(json.find("\"metric\": \"disk_rejects\""), std::string::npos);
   // Derived units must stay non-gating: nothing here may carry "ms".
   for (const auto& r : rep.records()) EXPECT_NE(r.unit, "ms");
-  ASSERT_EQ(rep.records().size(), 13u);
+  // 7 plan records (phases, max/avg wavefront, bytes, waits, wait bytes,
+  // layout bytes) + 8 cache counters.
+  ASSERT_EQ(rep.records().size(), 15u);
 }
 
 TEST(ReporterTest, SkippedDriverStillProducesADocument) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
+#include "core/runtime.hpp"
+#include "solver/ilu_preconditioner.hpp"
 #include "sparse/ilu.hpp"
 #include "sparse/triangular.hpp"
 #include "workload/problems.hpp"
@@ -235,6 +240,56 @@ TEST(IluNumericTest, ThrowsOnZeroPivot) {
   const CsrMatrix a(2, 2, {0, 2, 4}, {0, 1, 0, 1}, {0.0, 1.0, 1.0, 1.0});
   IluFactorization ilu(a, 0);
   EXPECT_THROW(ilu.factor(a), std::runtime_error);
+}
+
+/// 64-row tridiagonal (2, -1) matrix, optionally with row 0's diagonal
+/// set to zero: structurally sound, numerically singular at the first
+/// pivot, so the parallel factor throws inside its first row body.
+CsrMatrix tridiagonal(bool zero_first_pivot) {
+  const index_t n = 64;
+  std::vector<index_t> ptr{0};
+  std::vector<index_t> col;
+  std::vector<real_t> val;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = std::max<index_t>(i - 1, 0); j <= std::min(i + 1, n - 1);
+         ++j) {
+      col.push_back(j);
+      val.push_back(j == i ? (i == 0 && zero_first_pivot ? 0.0 : 2.0) : -1.0);
+    }
+    ptr.push_back(static_cast<index_t>(col.size()));
+  }
+  return {n, n, std::move(ptr), std::move(col), std::move(val)};
+}
+
+TEST(IluNumericTest, ParallelZeroPivotThrowsAndTeamStaysUsable) {
+  // A zero pivot in row 0 under the default (point-to-point) executor:
+  // the row body throws, every processor waiting on row 0's producer
+  // leaves the region, and factor() throws instead of hanging. The same
+  // Runtime then factors and applies a sound matrix.
+  const CsrMatrix bad = tridiagonal(true);
+  const CsrMatrix good = tridiagonal(false);
+  for (int procs = 1; procs <= 8; ++procs) {
+    Runtime rt(procs, 8, "");
+    IluPreconditioner singular(rt, bad, 0);
+    EXPECT_THROW(singular.factor(rt.team(), bad), std::runtime_error)
+        << "procs=" << procs;
+
+    IluPreconditioner sound(rt, good, 0);
+    sound.factor(rt.team(), good);
+    IluFactorization seq(good, 0);
+    seq.factor(good);
+    for (index_t i = 0; i < good.rows(); ++i) {
+      const auto got = sound.factors().upper().row_vals(i);
+      const auto want = seq.upper().row_vals(i);
+      ASSERT_EQ(std::vector<real_t>(got.begin(), got.end()),
+                std::vector<real_t>(want.begin(), want.end()))
+          << "procs=" << procs << " row=" << i;
+    }
+    const std::vector<real_t> r(64, 1.0);
+    std::vector<real_t> z(64, 0.0);
+    sound.apply(rt.team(), r, z);
+    EXPECT_TRUE(std::isfinite(z[0])) << "procs=" << procs;
+  }
 }
 
 TEST(IluNumericTest, RejectsNonSquare) {

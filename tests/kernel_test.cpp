@@ -250,7 +250,8 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
   const index_t n = f.ilu.size();
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kSelfScheduled, ExecutionPolicy::kWindowed}) {
+        ExecutionPolicy::kSelfScheduled, ExecutionPolicy::kWindowed,
+        ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     auto lk = BoundKernel::lower(lower_plan_for(team, f.ilu, opts),

@@ -175,6 +175,12 @@ void expect_identical(const Plan& a, const Plan& b) {
   EXPECT_EQ(a.schedule().order, b.schedule().order);
   EXPECT_EQ(a.schedule().proc_ptr, b.schedule().proc_ptr);
   EXPECT_EQ(a.schedule().phase_ptr, b.schedule().phase_ptr);
+  EXPECT_EQ(a.waits().ptr, b.waits().ptr);
+  ASSERT_EQ(a.waits().waits.size(), b.waits().waits.size());
+  for (std::size_t k = 0; k < a.waits().waits.size(); ++k) {
+    EXPECT_EQ(a.waits().waits[k].proc, b.waits().waits[k].proc);
+    EXPECT_EQ(a.waits().waits[k].phase, b.waits().waits[k].phase);
+  }
   EXPECT_EQ(a.memory_footprint(), b.memory_footprint());
   const PlanStats sa = a.stats(), sb = b.stats();
   EXPECT_EQ(sa.n, sb.n);
@@ -182,6 +188,8 @@ void expect_identical(const Plan& a, const Plan& b) {
   EXPECT_EQ(sa.phases, sb.phases);
   EXPECT_EQ(sa.max_wavefront, sb.max_wavefront);
   EXPECT_EQ(sa.avg_wavefront, sb.avg_wavefront);
+  EXPECT_EQ(sa.waits, sb.waits);
+  EXPECT_EQ(sa.wait_bytes, sb.wait_bytes);
   EXPECT_EQ(sa.bytes, sb.bytes);
 }
 
@@ -219,7 +227,8 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
   const ExecutionPolicy execs[] = {
       ExecutionPolicy::kPreScheduled,  ExecutionPolicy::kSelfExecuting,
       ExecutionPolicy::kDoAcross,      ExecutionPolicy::kSelfScheduled,
-      ExecutionPolicy::kWindowed,      ExecutionPolicy::kPipelined};
+      ExecutionPolicy::kWindowed,      ExecutionPolicy::kPipelined,
+      ExecutionPolicy::kPointToPoint};
 
   for (const SchedulingPolicy sched : scheds) {
     for (const ExecutionPolicy exec : execs) {
@@ -242,13 +251,68 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
       EXPECT_EQ(to_bytes(*loaded), image);
 
       // A loaded plan must execute bit-for-bit like the original, width 1
-      // and batched (the batched path covers the barrier machinery and —
-      // for kPipelined — the rebuilt successor adjacency and panel
-      // decomposition).
+      // and batched (the batched path covers the barrier machinery, for
+      // kPipelined the rebuilt successor adjacency and panel
+      // decomposition, and for kPointToPoint the re-derived wait lists).
       EXPECT_EQ(run_batch(plan, team, g, rhs1, 1),
                 run_batch(*loaded, team, g, rhs1, 1));
       EXPECT_EQ(run_batch(plan, team, g, rhs, kWide),
                 run_batch(*loaded, team, g, rhs, kWide));
+    }
+  }
+}
+
+TEST(PlanIoPointToPoint, HandEditedScheduleExecutesWithItsOwnWaits) {
+  // The wait lists are never serialized: load_plan re-derives them from
+  // the schedule it loaded. So an image whose schedule was replaced by a
+  // different valid one — here the wrapped deal of Figures 9-10, which
+  // puts nearly every dependence on another processor — must load,
+  // derive waits for *that* schedule, and still execute exactly.
+  const std::uint64_t seed = test_seed(20261016);
+  SCOPED_TRACE(seed_trace(seed));
+  for (const int nproc : {2, 3, 4}) {
+    ThreadTeam team(nproc);
+    const auto g = random_dag(150, 3, seed + static_cast<unsigned>(nproc));
+    const Plan fresh(team, DependenceGraph(g));
+    ASSERT_EQ(fresh.options().execution, ExecutionPolicy::kPointToPoint);
+    std::string image = to_bytes(fresh);
+
+    // The schedule arrays are the image's last three, just before the
+    // trailer: order (n), proc_ptr (nproc+1), phase_ptr.
+    const Schedule wrapped = global_schedule(fresh.wavefronts(), nproc);
+    ASSERT_NE(wrapped.order, fresh.schedule().order);
+    std::vector<index_t> tail = wrapped.order;
+    tail.insert(tail.end(), wrapped.proc_ptr.begin(), wrapped.proc_ptr.end());
+    tail.insert(tail.end(), wrapped.phase_ptr.begin(),
+                wrapped.phase_ptr.end());
+    const std::size_t tail_bytes = tail.size() * sizeof(index_t);
+    ASSERT_GT(image.size(), tail_bytes + 8);
+    for (std::size_t t = 0; t < tail.size(); ++t) {
+      const auto v = static_cast<std::uint32_t>(tail[t]);
+      for (int b = 0; b < 4; ++b) {
+        image[image.size() - 8 - tail_bytes + t * 4 +
+              static_cast<std::size_t>(b)] = static_cast<char>(v >> (8 * b));
+      }
+    }
+    reseal(image);
+    const auto loaded = from_bytes(image);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded->schedule().order, wrapped.order);
+    const SlabWaits expect = slab_waits(g, fresh.wavefronts(), wrapped);
+    EXPECT_EQ(loaded->waits().ptr, expect.ptr);
+    EXPECT_EQ(loaded->waits().waits.size(), expect.waits.size());
+
+    std::mt19937_64 rng(seed ^ 0x5eed);
+    std::uniform_real_distribution<real_t> dist(-2.0, 2.0);
+    for (const index_t k : {1, 4}) {
+      std::vector<real_t> rhs(static_cast<std::size_t>(g.size()) *
+                              static_cast<std::size_t>(k));
+      for (auto& v : rhs) v = dist(rng);
+      std::vector<real_t> ref(rhs.size(), 0.0);
+      RecurrenceBody seq{&g, rhs.data(), ref.data(), k};
+      for (index_t i = 0; i < g.size(); ++i) seq(i);
+      EXPECT_EQ(run_batch(*loaded, team, g, rhs, k), ref)
+          << "nproc=" << nproc << " k=" << k;
     }
   }
 }
@@ -440,7 +504,10 @@ TEST(PlanIoGolden, FixtureLoadsWithRecordedStats) {
   EXPECT_EQ(st.max_wavefront, 2);
   EXPECT_DOUBLE_EQ(st.avg_wavefront, 1.5);
   EXPECT_EQ(plan->nproc(), 3);
-  EXPECT_TRUE(plan->options() == normalized_options({}));
+  // The fixture was written under the paper's Figure 4 executor.
+  EXPECT_TRUE(plan->options() ==
+              normalized_options(
+                  {.execution = ExecutionPolicy::kSelfExecuting}));
 
   // The stored fingerprint must be the fingerprint of the same DAG built
   // fresh by this binary — the cross-process cache-key contract.
@@ -473,7 +540,8 @@ TEST(PlanIoGolden, FixtureReserializesByteIdentically) {
 TEST(PlanIoGolden, CacheFileNameIsStable) {
   // The disk-cache file name is a cross-process contract: two hosts
   // sharing a cache directory must agree on it byte for byte.
-  const DoconsiderOptions opts = normalized_options({});
+  const DoconsiderOptions opts =
+      normalized_options({.execution = ExecutionPolicy::kSelfExecuting});
   EXPECT_EQ(plan_cache_file_name(0x0123456789abcdefull, 12, 16, 3, opts),
             "plan-0123456789abcdef-n12-e16-p3-s0-x1-w0-c0-i0.rtlplan");
 }

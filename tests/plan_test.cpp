@@ -87,7 +87,8 @@ TEST_P(PlanTest, EveryExecutionPolicyMatchesSequential) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
           ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
+          ExecutionPolicy::kPointToPoint}) {
       DoconsiderOptions opts;
       opts.scheduling = sched;
       opts.execution = exec;
@@ -159,7 +160,8 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
   constexpr index_t kWidth = 3;
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+        ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
+        ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     const Plan plan(team, loop.dependences(), opts);
@@ -200,6 +202,37 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             << " row=" << i;
       }
     }
+  }
+}
+
+TEST_P(PlanTest, PointToPointPublishesOncePerSlabAndNeverBarriers) {
+  // The default executor's synchronization is exact and deterministic:
+  // one release store per non-empty (processor, phase) slab, whatever the
+  // batch width, and no barrier, no steal, no ready flag.
+  ThreadTeam team(GetParam());
+  auto loop = SimpleLoop::make(457, 77);
+  const Plan plan(team, loop.dependences());
+  ASSERT_EQ(plan.options().execution, ExecutionPolicy::kPointToPoint);
+  ASSERT_FALSE(plan.needs_ready_flags());
+  std::uint64_t slabs = 0;
+  for (int p = 0; p < plan.nproc(); ++p) {
+    for (index_t w = 0; w < plan.schedule().num_phases; ++w) {
+      if (!plan.schedule().phase(p, w).empty()) ++slabs;
+    }
+  }
+  ASSERT_GT(slabs, 0u);
+  for (const index_t k : {1, 3}) {
+    team.reset_exec_counters();
+    std::vector<real_t> x = loop.x0;
+    plan.execute_batch(team, k, loop.body(x));
+    const ExecCounters c = team.exec_counters();
+    EXPECT_EQ(c.flag_publishes, slabs) << "k=" << k;
+    EXPECT_EQ(c.barrier_waits, 0u) << "k=" << k;
+    EXPECT_EQ(c.steals, 0u) << "k=" << k;
+  }
+  // A one-processor team waits on nobody.
+  if (team.size() == 1) {
+    EXPECT_TRUE(plan.waits().waits.empty());
   }
 }
 
@@ -281,6 +314,37 @@ TEST(PlanConcurrency, TwoTeamsExecuteTheSameSharedPlanSimultaneously) {
 
   EXPECT_EQ(xa, expected);
   EXPECT_EQ(xb, expected);
+}
+
+/// FNV-1a-64 fed one byte at a time, each index widened to a
+/// little-endian u64 — the fingerprint's definition, kept here as the
+/// reference the library's folded loop must reproduce bit for bit.
+std::uint64_t bytewise_fingerprint(const DependenceGraph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto word = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  word(static_cast<std::uint64_t>(g.size()));
+  for (const index_t v : g.ptr()) word(static_cast<std::uint64_t>(v));
+  for (const index_t v : g.adj()) word(static_cast<std::uint64_t>(v));
+  return h;
+}
+
+TEST(Fingerprint, FoldedHashEqualsByteWiseFnv1a) {
+  EXPECT_EQ(DependenceGraph().fingerprint(),
+            bytewise_fingerprint(DependenceGraph()));
+  EXPECT_EQ(DependenceGraph::from_lists({}).fingerprint(),
+            bytewise_fingerprint(DependenceGraph::from_lists({})));
+  for (const index_t n : {1, 2, 17, 256, 5000}) {
+    const auto g = SimpleLoop::make(n, 90 + static_cast<unsigned>(n))
+                       .dependences();
+    EXPECT_EQ(g.fingerprint(), bytewise_fingerprint(g)) << "n=" << n;
+  }
+  const auto mesh = synthetic_dependences(SyntheticSpec{});
+  EXPECT_EQ(mesh.fingerprint(), bytewise_fingerprint(mesh));
 }
 
 TEST(Fingerprint, DeterministicAndStructureSensitive) {
@@ -488,15 +552,20 @@ TEST(PlanStatsTest, FootprintAndShapeMatchTheArtifact) {
 
   // The footprint is exactly the index arrays the executor walks: the
   // dependence CSR (n+1 + edges), the wavefront levels + membership CSR
-  // (n + n + phases+1), and the flat schedule (n + nproc+1 +
-  // nproc*(phases+1) offsets).
+  // (n + n + phases+1), the flat schedule (n + nproc+1 +
+  // nproc*(phases+1) offsets), and — under the default point-to-point
+  // executor — the wait lists (nproc*phases+1 offsets + one
+  // (processor, phase) pair per wait).
   const std::size_t n = static_cast<std::size_t>(st.n);
   const std::size_t e = static_cast<std::size_t>(st.edges);
   const std::size_t ph = static_cast<std::size_t>(st.phases);
   const std::size_t nproc = static_cast<std::size_t>(plan.nproc());
   const std::size_t expected_entries =
       (n + 1 + e) + (n + n + ph + 1) + (n + nproc + 1 + nproc * (ph + 1));
-  EXPECT_EQ(st.bytes, expected_entries * sizeof(index_t));
+  EXPECT_EQ(st.waits, plan.waits().waits.size());
+  EXPECT_EQ(st.wait_bytes,
+            (nproc * ph + 1) * sizeof(index_t) + st.waits * sizeof(SlabWait));
+  EXPECT_EQ(st.bytes, expected_entries * sizeof(index_t) + st.wait_bytes);
 }
 
 TEST(PlanStatsTest, EmptyPlanHasZeroShape) {

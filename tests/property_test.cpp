@@ -94,6 +94,7 @@ TEST_P(DagPropertyTest, SchedulesAreAlwaysValid) {
   const auto g = random_dag(p.n, p.max_deg, seed);
   const auto wf = compute_wavefronts(g);
   validate_schedule(global_schedule(wf, p.nproc), wf);
+  validate_schedule(contiguous_schedule(wf, p.nproc), wf);
   validate_schedule(local_schedule(wf, wrapped_partition(g.size(), p.nproc)),
                     wf);
   validate_schedule(local_schedule(wf, block_partition(g.size(), p.nproc)),
@@ -106,15 +107,17 @@ TEST_P(DagPropertyTest, GlobalScheduleBalancesPhasesWithinOne) {
   SCOPED_TRACE(seed_trace(seed));
   const auto g = random_dag(p.n, p.max_deg, seed);
   const auto wf = compute_wavefronts(g);
-  const auto s = global_schedule(wf, p.nproc);
-  for (index_t w = 0; w < s.num_phases; ++w) {
-    index_t lo = s.n, hi = 0;
-    for (int q = 0; q < p.nproc; ++q) {
-      const index_t c = static_cast<index_t>(s.phase(q, w).size());
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
+  for (const auto& s :
+       {global_schedule(wf, p.nproc), contiguous_schedule(wf, p.nproc)}) {
+    for (index_t w = 0; w < s.num_phases; ++w) {
+      index_t lo = s.n, hi = 0;
+      for (int q = 0; q < p.nproc; ++q) {
+        const index_t c = static_cast<index_t>(s.phase(q, w).size());
+        lo = std::min(lo, c);
+        hi = std::max(hi, c);
+      }
+      EXPECT_LE(hi - lo, 1);
     }
-    EXPECT_LE(hi - lo, 1);
   }
 }
 
@@ -146,14 +149,18 @@ TEST_P(DagPropertyTest, ExecutionOrderRespectsDependences) {
 /// global = stable-sort the whole index set by wavefront and deal wrapped;
 /// local = fixed wrapped/block assignment, each processor's list stably
 /// sorted by wavefront — with *local* per-processor phase offsets. The
-/// flat CSR layout must reproduce it iteration-for-iteration.
+/// flat CSR layout must reproduce it iteration-for-iteration. `contiguous`
+/// switches the global deal to the point-to-point executor's: each
+/// wavefront of the sorted list cut into nproc contiguous chunks, the
+/// first (size mod nproc) one longer.
 struct JaggedSchedule {
   std::vector<std::vector<index_t>> order;
   std::vector<std::vector<index_t>> phase_ptr;  // local offsets per proc
 };
 
 JaggedSchedule jagged_reference(const WavefrontInfo& wf,
-                                SchedulingPolicy policy, int nproc) {
+                                SchedulingPolicy policy, int nproc,
+                                bool contiguous) {
   const index_t n = wf.size();
   JaggedSchedule j;
   j.order.resize(static_cast<std::size_t>(nproc));
@@ -165,9 +172,33 @@ JaggedSchedule jagged_reference(const WavefrontInfo& wf,
                        return wf.wave[static_cast<std::size_t>(a)] <
                               wf.wave[static_cast<std::size_t>(b)];
                      });
-    for (index_t k = 0; k < n; ++k) {
-      j.order[static_cast<std::size_t>(k % nproc)].push_back(
-          list[static_cast<std::size_t>(k)]);
+    if (contiguous) {
+      std::size_t begin = 0;
+      while (begin < list.size()) {
+        const index_t w = wf.wave[static_cast<std::size_t>(list[begin])];
+        std::size_t end = begin;
+        while (end < list.size() &&
+               wf.wave[static_cast<std::size_t>(list[end])] == w) {
+          ++end;
+        }
+        const std::size_t m = end - begin;
+        const std::size_t base = m / static_cast<std::size_t>(nproc);
+        const std::size_t extra = m % static_cast<std::size_t>(nproc);
+        std::size_t k = begin;
+        for (int p = 0; p < nproc; ++p) {
+          const std::size_t len =
+              base + (static_cast<std::size_t>(p) < extra ? 1 : 0);
+          for (std::size_t t = 0; t < len; ++t) {
+            j.order[static_cast<std::size_t>(p)].push_back(list[k++]);
+          }
+        }
+        begin = end;
+      }
+    } else {
+      for (index_t k = 0; k < n; ++k) {
+        j.order[static_cast<std::size_t>(k % nproc)].push_back(
+            list[static_cast<std::size_t>(k)]);
+      }
     }
   } else {
     std::vector<int> owner(static_cast<std::size_t>(n));
@@ -212,20 +243,27 @@ JaggedSchedule jagged_reference(const WavefrontInfo& wf,
 TEST_P(DagPropertyTest, FlatScheduleMatchesJaggedReference) {
   // The CSR-layout schedule (one order array + proc_ptr/phase_ptr) must be
   // iteration-for-iteration identical to the naive jagged construction for
-  // every scheduling policy and processor count.
+  // every scheduling policy — the wrapped and the contiguous global deal
+  // included — and processor count.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
   const auto g = random_dag(param.n, param.max_deg, seed);
   const auto wf = compute_wavefronts(g);
-  for (const auto policy :
-       {SchedulingPolicy::kGlobal, SchedulingPolicy::kLocalWrapped,
-        SchedulingPolicy::kLocalBlock}) {
+  const struct {
+    SchedulingPolicy policy;
+    bool contiguous;
+  } cases[] = {{SchedulingPolicy::kGlobal, false},
+               {SchedulingPolicy::kGlobal, true},
+               {SchedulingPolicy::kLocalWrapped, false},
+               {SchedulingPolicy::kLocalBlock, false}};
+  for (const auto& [policy, contiguous] : cases) {
     for (int nproc = 1; nproc <= 8; ++nproc) {
       Schedule s;
       switch (policy) {
         case SchedulingPolicy::kGlobal:
-          s = global_schedule(wf, nproc);
+          s = contiguous ? contiguous_schedule(wf, nproc)
+                         : global_schedule(wf, nproc);
           break;
         case SchedulingPolicy::kLocalWrapped:
           s = local_schedule(wf, wrapped_partition(g.size(), nproc));
@@ -234,14 +272,15 @@ TEST_P(DagPropertyTest, FlatScheduleMatchesJaggedReference) {
           s = local_schedule(wf, block_partition(g.size(), nproc));
           break;
       }
-      const auto j = jagged_reference(wf, policy, nproc);
+      const auto j = jagged_reference(wf, policy, nproc, contiguous);
       ASSERT_EQ(s.nproc, nproc);
       ASSERT_EQ(s.num_phases, wf.num_waves);
       for (int p = 0; p < nproc; ++p) {
         const auto flat = s.proc(p);
         const auto& ref = j.order[static_cast<std::size_t>(p)];
         ASSERT_EQ(std::vector<index_t>(flat.begin(), flat.end()), ref)
-            << "policy=" << static_cast<int>(policy) << " nproc=" << nproc
+            << "policy=" << static_cast<int>(policy)
+            << " contiguous=" << contiguous << " nproc=" << nproc
             << " p=" << p;
         const auto row = s.phase_row(p);
         const auto& jptr = j.phase_ptr[static_cast<std::size_t>(p)];
@@ -250,7 +289,67 @@ TEST_P(DagPropertyTest, FlatScheduleMatchesJaggedReference) {
         for (std::size_t w = 0; w < row.size(); ++w) {
           ASSERT_EQ(row[w] - base, jptr[w])
               << "policy=" << static_cast<int>(policy)
-              << " nproc=" << nproc << " p=" << p << " w=" << w;
+              << " contiguous=" << contiguous << " nproc=" << nproc
+              << " p=" << p << " w=" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DagPropertyTest, SlabWaitsAreSufficientMinimalAndAcyclic) {
+  // The point-to-point wait lists, replayed per processor: every wait
+  // names another processor and a strictly earlier phase (deadlock
+  // freedom), raises what the processor has already waited for from that
+  // producer (no redundant wait), and before each slab runs every
+  // cross-processor dependence of its rows is covered. Checked on the
+  // contiguous deal and a local partition, and on a 300-processor team
+  // (more processors than a one-byte owner map can name).
+  const auto param = GetParam();
+  const std::uint64_t seed = test_seed(param.seed);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto g = random_dag(param.n, param.max_deg, seed);
+  const auto wf = compute_wavefronts(g);
+  for (const int nproc : {param.nproc, 300}) {
+    for (const auto& s :
+         {contiguous_schedule(wf, nproc),
+          local_schedule(wf, wrapped_partition(g.size(), nproc))}) {
+      const SlabWaits waits = slab_waits(g, wf, s);
+      const auto phases = static_cast<std::size_t>(s.num_phases);
+      ASSERT_EQ(waits.ptr.size(), static_cast<std::size_t>(nproc) * phases + 1);
+      ASSERT_EQ(static_cast<std::size_t>(waits.ptr.back()), waits.waits.size());
+      std::vector<int> owner(static_cast<std::size_t>(g.size()));
+      for (int p = 0; p < nproc; ++p) {
+        for (const index_t i : s.proc(p)) {
+          owner[static_cast<std::size_t>(i)] = p;
+        }
+      }
+      for (int p = 0; p < nproc; ++p) {
+        std::vector<index_t> seen(static_cast<std::size_t>(nproc), -1);
+        const index_t* row = waits.row(p);
+        for (index_t w = 0; w < s.num_phases; ++w) {
+          const auto ws = static_cast<std::size_t>(w);
+          ASSERT_LE(row[ws], row[ws + 1]);
+          for (index_t k = row[ws]; k < row[ws + 1]; ++k) {
+            const SlabWait& wt = waits.waits[static_cast<std::size_t>(k)];
+            ASSERT_NE(wt.proc, p);
+            ASSERT_GE(wt.proc, 0);
+            ASSERT_LT(wt.proc, nproc);
+            ASSERT_GE(wt.phase, 0);
+            ASSERT_LT(wt.phase, w);
+            ASSERT_GT(wt.phase, seen[static_cast<std::size_t>(wt.proc)]);
+            seen[static_cast<std::size_t>(wt.proc)] = wt.phase;
+          }
+          for (const index_t i : s.phase(p, w)) {
+            for (const index_t d : g.deps(i)) {
+              const int q = owner[static_cast<std::size_t>(d)];
+              if (q == p) continue;
+              ASSERT_LE(wf.wave[static_cast<std::size_t>(d)],
+                        seen[static_cast<std::size_t>(q)])
+                  << "nproc=" << nproc << " p=" << p << " w=" << w
+                  << " row=" << i << " dep=" << d;
+            }
+          }
         }
       }
     }
@@ -283,7 +382,7 @@ TEST_P(DagPropertyTest, RecurrenceResultIndependentOfPolicy) {
         SchedulingPolicy::kLocalBlock}) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-          ExecutionPolicy::kDoAcross}) {
+          ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
       std::vector<real_t> x(static_cast<std::size_t>(g.size()), 0.0);
       DoconsiderOptions opts;
       opts.scheduling = sched;
@@ -448,7 +547,7 @@ TEST_P(DagPropertyTest, SimdBatchedSolveIsBitForBitScalarEverywhere) {
   ThreadTeam team(param.nproc);
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kPipelined}) {
+        ExecutionPolicy::kPipelined, ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;
@@ -501,7 +600,8 @@ TEST_P(DagPropertyTest, LayoutBatchedSolveIsBitForBitGatherEverywhere) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
           ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined}) {
+          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
+          ExecutionPolicy::kPointToPoint}) {
       DoconsiderOptions opts;
       opts.execution = exec;
       if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;

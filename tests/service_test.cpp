@@ -410,6 +410,30 @@ TEST(SolveServiceTest, UploadOrdersBeforeDependentSolvesInOneDrain) {
   EXPECT_EQ(solved.get(), reference[0]);
 }
 
+TEST(SolveServiceTest, SingularUploadIsBadRequestAndSolverThreadSurvives) {
+  // A zero pivot on row 0 makes the parallel factor's first row body
+  // throw. On the real solver thread (not manual_drain) the upload must
+  // come back as a typed kBadRequest — not wedge the only thread that
+  // runs the team — and the next upload and solve must work.
+  ServiceConfig config = test_config();
+  config.manual_drain = false;
+  SolveService service(config);
+  const auto session = service.open_session();
+  const LinearSystem system = five_point(6, 6);
+  CsrMatrix singular = system.a;
+  const auto cols = singular.row_cols(0);
+  for (std::size_t t = 0; t < cols.size(); ++t) {
+    if (cols[t] == 0) singular.values()[t] = 0.0;
+  }
+  auto rejected = service.upload_matrix(session, 1, singular, 0);
+  expect_errc(ServiceErrc::kBadRequest, [&] { rejected.get(); });
+
+  service.upload_matrix(session, 2, system.a, 0).get();
+  const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
+  EXPECT_EQ(service.solve(session, 2, rhs).get(),
+            reference_solves(system, 0, {rhs})[0]);
+}
+
 // --- service core: sessions, admission, shutdown ---------------------------
 
 TEST(SolveServiceTest, SessionLifecycleErrorsAreTyped) {

@@ -5,16 +5,18 @@
 // This suite exists to be run under the sanitizers: the CI TSan job runs
 // `ctest -L "quick|stress"`, so every synchronization path — the phase
 // barriers, the ready-flag busy-waits, the fetch-and-add cursor, the
-// windowed hybrid, and the pipelined pending-counter/work-stealing
-// machinery — is exercised with real contention (including processor
-// counts far above the host's core count) on every PR. Failures print
-// the RNG seed; replay any instance with RTL_TEST_SEED=<seed>.
+// windowed hybrid, the pipelined pending-counter/work-stealing machinery
+// and the point-to-point progress counters (including their abort path) —
+// is exercised with real contention (including processor counts far above
+// the host's core count) on every PR. Failures print the RNG seed; replay
+// any instance with RTL_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -117,6 +119,7 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
       {ExecutionPolicy::kSelfScheduled, "self-scheduled"},
       {ExecutionPolicy::kWindowed, "windowed"},
       {ExecutionPolicy::kPipelined, "pipelined"},
+      {ExecutionPolicy::kPointToPoint, "point-to-point"},
   };
   // 8 procs on small hosts is deliberately oversubscribed: the stealing
   // and busy-wait paths must stay correct when workers are descheduled
@@ -147,6 +150,54 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
         }
         ASSERT_EQ(x, ref) << "policy=" << pol.name << " procs=" << p
                           << " k=" << k;
+      }
+    }
+  }
+}
+
+/// RecurrenceBody that throws when it reaches row `bad`.
+struct ThrowingBody {
+  RecurrenceBody inner;
+  index_t bad;
+
+  void operator()(index_t i, index_t j0, index_t j1) const {
+    if (i == bad) throw std::runtime_error("injected fault");
+    inner(i, j0, j1);
+  }
+  void operator()(index_t i) const { (*this)(i, 0, inner.k); }
+};
+
+TEST_P(SchedulerStressTest, PointToPointThrowingBodyReachesCallerTeamReusable) {
+  // A body that throws at row r leaves its processor's progress counter
+  // behind forever; every peer waiting on it must notice the team's
+  // region-abort flag and leave, so the caller gets the body's exception
+  // (not a hang) and the very next region on the same team and plan runs
+  // normally. Every processor count 1..8 (oversubscribed on small hosts),
+  // k in {1, 4, 16}, faults at the first, a middle and the last row.
+  const auto param = GetParam();
+  const std::uint64_t seed = test_seed(param.seed);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto g = random_dag(param.n, param.max_deg, seed);
+  const index_t n = g.size();
+  std::mt19937_64 rng(seed ^ 0xFA017);
+  std::uniform_real_distribution<real_t> dist(-4.0, 4.0);
+  for (int p = 1; p <= 8; ++p) {
+    ThreadTeam team(p);
+    const Plan plan(team, DependenceGraph(g));
+    ASSERT_EQ(plan.options().execution, ExecutionPolicy::kPointToPoint);
+    for (const index_t k : {1, 4, 16}) {
+      std::vector<real_t> rhs(static_cast<std::size_t>(n) *
+                              static_cast<std::size_t>(k));
+      for (auto& v : rhs) v = dist(rng);
+      const std::vector<real_t> ref = sequential_reference(g, rhs, k);
+      for (const index_t bad : {index_t{0}, n / 2, n - 1}) {
+        std::vector<real_t> x(rhs.size(), 0.0);
+        const ThrowingBody faulty{{&g, rhs.data(), x.data(), k}, bad};
+        EXPECT_THROW(plan.execute_batch(team, k, faulty), std::runtime_error)
+            << "procs=" << p << " k=" << k << " bad=" << bad;
+        RecurrenceBody body{&g, rhs.data(), x.data(), k};
+        plan.execute_batch(team, k, body);
+        ASSERT_EQ(x, ref) << "procs=" << p << " k=" << k << " bad=" << bad;
       }
     }
   }
