@@ -252,9 +252,7 @@ UploadMatrixMsg parse_upload(std::span<const unsigned char> payload) {
   if (n > kMaxIndex || nnz > kMaxIndex) {
     fail(ServiceErrc::kBadFrame, "matrix dimension exceeds index range");
   }
-  require_exact(payload.size(),
-                32 + (n + 1) * sizeof(index_t) + nnz * sizeof(index_t) +
-                    nnz * sizeof(real_t),
+  require_exact(payload.size(), upload_payload_bytes(n, nnz),
                 "upload_matrix");
   std::vector<index_t> ptr = r.indices(static_cast<std::size_t>(n) + 1);
   std::vector<index_t> col = r.indices(static_cast<std::size_t>(nnz));

@@ -52,6 +52,13 @@ inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// row CSR upload, small enough that a corrupted length field cannot
 /// drive an absurd allocation.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 28;
+/// Payload bytes of an upload frame (UploadMatrixMsg) carrying an n-row
+/// matrix with nnz stored entries. Exact (no wrap) for n, nnz < 2^32.
+[[nodiscard]] constexpr std::uint64_t upload_payload_bytes(
+    std::uint64_t n, std::uint64_t nnz) noexcept {
+  return 32 + (n + 1) * sizeof(index_t) +
+         nnz * (sizeof(index_t) + sizeof(real_t));
+}
 /// Ceiling on a workload name.
 inline constexpr std::uint32_t kMaxNameLength = 256;
 /// Ceiling on an error-reply message.

@@ -29,6 +29,19 @@ index_t parametric_size(const std::string& name, const std::string& prefix) {
   return n;
 }
 
+/// Refuse a parametric grid whose matrix (n <= nnz rows, nnz entries,
+/// computed in 64 bits before anything is generated) one upload frame
+/// could not carry: a named workload is held to the same ceiling as an
+/// uploaded one. Checking nnz first keeps the byte count from wrapping.
+void require_frame_sized(const std::string& name, std::uint64_t n,
+                         std::uint64_t nnz) {
+  if (nnz > kMaxFramePayload ||
+      upload_payload_bytes(n, nnz) > kMaxFramePayload) {
+    fail(ServiceErrc::kBadRequest,
+         "workload '" + name + "' is larger than one upload frame carries");
+  }
+}
+
 }  // namespace
 
 LinearSystem service_workload(const std::string& name) {
@@ -43,13 +56,21 @@ LinearSystem service_workload(const std::string& name) {
   if (name == "l5pt") return make_l5pt().system;
   if (name == "l9pt") return make_l9pt().system;
   if (name == "l7pt") return make_l7pt().system;
+  // Entry counts of the N-wide stencils: 5N^2 - 4N, (3N - 2)^2 and
+  // 7N^3 - 6N^2 (boundary points lack the neighbours outside the grid).
   if (const index_t n = parametric_size(name, "5pt"); n > 0) {
+    const std::uint64_t w = static_cast<std::uint64_t>(n);
+    require_frame_sized(name, w * w, 5 * w * w - 4 * w);
     return five_point(n, n);
   }
   if (const index_t n = parametric_size(name, "9pt"); n > 0) {
+    const std::uint64_t w = static_cast<std::uint64_t>(n);
+    require_frame_sized(name, w * w, (3 * w - 2) * (3 * w - 2));
     return nine_point(n, n);
   }
   if (const index_t n = parametric_size(name, "7pt"); n > 0) {
+    const std::uint64_t w = static_cast<std::uint64_t>(n);
+    require_frame_sized(name, w * w * w, 7 * w * w * w - 6 * w * w);
     return seven_point(n, n, n);
   }
   fail(ServiceErrc::kUnknownWorkload, "no workload named '" + name + "'");

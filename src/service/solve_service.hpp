@@ -104,7 +104,9 @@ struct ServiceConfig {
 /// I problem set by name (spe1..spe5, 5pt, 9pt, 7pt, l5pt, l9pt, l7pt)
 /// plus parametric stencils "5pt:N", "9pt:N" (N x N grid) and "7pt:N"
 /// (N x N x N grid) for right-sized test and demo problems. Throws
-/// `ServiceError(kUnknownWorkload)` for anything else.
+/// `ServiceError(kUnknownWorkload)` for anything else, and
+/// `ServiceError(kBadRequest)` for a parametric grid whose matrix is
+/// larger than one upload frame (`kMaxFramePayload`) could carry.
 [[nodiscard]] LinearSystem service_workload(const std::string& name);
 
 class SolveService {

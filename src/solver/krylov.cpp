@@ -1,8 +1,13 @@
 #include "solver/krylov.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "kernel/spmv_kernel.hpp"
@@ -47,6 +52,16 @@ void apply_precond_batch(ThreadTeam& team, Preconditioner* m, bool mixed,
     m->apply_batch_mixed(team, r, z);
   } else {
     m->apply_batch(team, r, z);
+  }
+}
+
+/// GMRES(m) needs m >= 1: with m = 0 no Arnoldi step ever runs (the
+/// single-RHS driver would restart forever) and a negative m sizes no
+/// basis. Checked before anything is allocated.
+void require_restart(const KrylovOptions& options) {
+  if (options.restart < 1) {
+    throw std::invalid_argument("gmres_solve: restart must be >= 1, got " +
+                                std::to_string(options.restart));
   }
 }
 
@@ -199,6 +214,7 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                          std::span<const real_t> b, std::span<real_t> x,
                          Preconditioner* precond,
                          const KrylovOptions& options) {
+  require_restart(options);
   const index_t n = a.rows();
   assert(a.cols() == n);
   assert(static_cast<index_t>(b.size()) == n);
@@ -314,25 +330,152 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 namespace {
 
 /// Per-column state of the lockstep batched GMRES. Each column owns its
-/// contiguous basis and Hessenberg data and walks the exact state
-/// machine of the single-RHS driver; only the operator applications —
-/// one batched SpMV plus one batched preconditioner apply per tick —
-/// are shared across columns. Per-column vector arithmetic (MGS,
-/// rotations, the solution update) runs on contiguous gathered columns
-/// with the same par_* calls as the single driver, which is what makes
-/// each column's trajectory bit-for-bit identical to solving it alone.
+/// iterate, its basis (m+1 contiguous vectors of n) and its Hessenberg
+/// data, and walks the exact state machine of the single-RHS driver.
 struct GmresColumn {
   enum class Phase { kStart, kArnoldi, kDone };
 
+  GmresColumn(std::size_t rows, int restart)
+      : n(rows),
+        m(restart),
+        x(rows),
+        // Every basis vector is written by the tick's unpack before it is
+        // read, so the ~(m+1)·n values need no zero fill.
+        basis(std::make_unique_for_overwrite<real_t[]>(
+            (static_cast<std::size_t>(restart) + 1) * rows)),
+        h(static_cast<std::size_t>((restart + 1) * restart), 0.0),
+        cs(static_cast<std::size_t>(restart), 0.0),
+        sn(static_cast<std::size_t>(restart), 0.0),
+        g(static_cast<std::size_t>(restart) + 1, 0.0),
+        y(static_cast<std::size_t>(restart), 0.0) {}
+
+  [[nodiscard]] std::span<real_t> v(int i) {
+    return {basis.get() + static_cast<std::size_t>(i) * n, n};
+  }
+  real_t& H(int row, int step) {
+    return h[static_cast<std::size_t>(step * (m + 1) + row)];
+  }
+
+  std::size_t n;
+  int m;
   Phase phase = Phase::kStart;
-  int j = 0;             // current Arnoldi index within the cycle
-  real_t beta = 0.0;     // last cycle-start residual norm
-  real_t target = 0.0;   // preconditioned-norm convergence target
-  std::vector<std::vector<real_t>> basis;
-  std::vector<real_t> h, cs, sn, g;
-  std::vector<real_t> bcol;  // this column of b, gathered once
+  int j = 0;            // current Arnoldi index within the cycle
+  real_t beta = 0.0;    // last cycle-start residual norm
+  real_t target = 0.0;  // preconditioned-norm convergence target
+  std::vector<real_t> x;
+  std::unique_ptr<real_t[]> basis;
+  std::vector<real_t> h, cs, sn, g, y;
   KrylovResult res;
 };
+
+/// Sequential twins of par_axpy / par_scale: the same per-element
+/// operation, so the same bits on any partition.
+void axpy(real_t a, std::span<const real_t> x, std::span<real_t> y) {
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
+}
+
+void scale(real_t a, std::span<real_t> x) {
+  for (real_t& v : x) v *= a;
+}
+
+/// Cycle start of one column: v0 holds M^{-1}(b - A x).
+void gmres_start(GmresColumn& col, int nthreads) {
+  const auto v0 = col.v(0);
+  col.beta = team_order_norm2(v0, nthreads);
+  if (col.beta <= col.target) {
+    col.res.converged = true;
+    col.phase = GmresColumn::Phase::kDone;
+    return;
+  }
+  scale(1.0 / col.beta, v0);
+  std::fill(col.g.begin(), col.g.end(), 0.0);
+  col.g[0] = col.beta;
+  col.j = 0;
+  col.phase = GmresColumn::Phase::kArnoldi;
+}
+
+/// Arnoldi step j of one column: v_{j+1} holds M^{-1} A v_j. Ends the
+/// cycle (back-substitution, x update, convergence check) when due.
+void gmres_arnoldi(GmresColumn& col, int max_iterations, int nthreads) {
+  const int j = col.j;
+  const auto ju = static_cast<std::size_t>(j);
+  auto& cs = col.cs;
+  auto& sn = col.sn;
+  auto& g = col.g;
+  ++col.res.iterations;
+  const auto w = col.v(j + 1);
+  // Modified Gram-Schmidt.
+  for (int i = 0; i <= j; ++i) {
+    const real_t hij = team_order_dot(w, col.v(i), nthreads);
+    col.H(i, j) = hij;
+    axpy(-hij, col.v(i), w);
+  }
+  const real_t hnext = team_order_norm2(w, nthreads);
+  col.H(j + 1, j) = hnext;
+  if (hnext > 0.0) scale(1.0 / hnext, w);
+
+  // Apply previous Givens rotations to the new column.
+  for (int i = 0; i < j; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    const real_t t = cs[iu] * col.H(i, j) + sn[iu] * col.H(i + 1, j);
+    col.H(i + 1, j) = -sn[iu] * col.H(i, j) + cs[iu] * col.H(i + 1, j);
+    col.H(i, j) = t;
+  }
+  // New rotation annihilating H(j+1, j).
+  const real_t denom = std::hypot(col.H(j, j), col.H(j + 1, j));
+  cs[ju] = denom == 0.0 ? 1.0 : col.H(j, j) / denom;
+  sn[ju] = denom == 0.0 ? 0.0 : col.H(j + 1, j) / denom;
+  col.H(j, j) = denom;
+  col.H(j + 1, j) = 0.0;
+  g[ju + 1] = -sn[ju] * g[ju];
+  g[ju] = cs[ju] * g[ju];
+
+  const bool inner_break = std::abs(g[ju + 1]) <= col.target;
+  col.j = j + 1;
+  if (!inner_break && col.j < col.m &&
+      col.res.iterations < max_iterations) {
+    return;
+  }
+
+  // End of cycle: back-substitute H y = g, update x, check.
+  const int jf = col.j;
+  auto& y = col.y;
+  for (int i = jf - 1; i >= 0; --i) {
+    real_t sum = g[static_cast<std::size_t>(i)];
+    for (int t = i + 1; t < jf; ++t) {
+      sum -= col.H(i, t) * y[static_cast<std::size_t>(t)];
+    }
+    y[static_cast<std::size_t>(i)] = sum / col.H(i, i);
+  }
+  for (int i = 0; i < jf; ++i) {
+    axpy(y[static_cast<std::size_t>(i)], col.v(i), col.x);
+  }
+  col.res.residual_norm = std::abs(g[static_cast<std::size_t>(jf)]);
+  if (col.res.residual_norm <= col.target) {
+    col.res.converged = true;
+    col.phase = GmresColumn::Phase::kDone;
+  } else if (col.res.iterations >= max_iterations) {
+    col.phase = GmresColumn::Phase::kDone;
+  } else {
+    col.phase = GmresColumn::Phase::kStart;
+  }
+}
+
+/// Runs step(c) for every c in `live` in one team region, dealing whole
+/// columns to members through a shared cursor. Columns share no state,
+/// so which member runs which column changes no result.
+template <class Step>
+void for_each_column(ThreadTeam& team, std::span<const std::size_t> live,
+                     const Step& step) {
+  std::atomic<std::size_t> cursor{0};
+  team.run([&](int) {
+    for (std::size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
+         t < live.size();
+         t = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      step(live[t]);
+    }
+  });
+}
 
 }  // namespace
 
@@ -340,183 +483,92 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                                       ConstBatchView b, BatchView x,
                                       Preconditioner* precond,
                                       const KrylovOptions& options) {
+  require_restart(options);
   const index_t n = a.rows();
   assert(a.cols() == n);
   assert(b.rows() == n && x.rows() == n);
   assert(b.width() == x.width());
   const index_t k = b.width();
   const auto ks = static_cast<std::size_t>(k);
-  const int m = options.restart;
-  const auto nz = static_cast<std::size_t>(n);
+  const int p = team.size();
   const SpMVKernel spmv = SpMVKernel::bind(a);
 
   BatchBuffer in(n, k), mid(n, k), out(n, k);
-  std::vector<real_t> colbuf(nz);
-  std::vector<GmresColumn> cols(ks);
+  std::vector<GmresColumn> cols;
+  cols.reserve(ks);
   for (std::size_t c = 0; c < ks; ++c) {
-    auto& col = cols[c];
-    col.basis.assign(static_cast<std::size_t>(m) + 1,
-                     std::vector<real_t>(nz));
-    col.h.assign(static_cast<std::size_t>((m + 1) * m), 0.0);
-    col.cs.assign(static_cast<std::size_t>(m), 0.0);
-    col.sn.assign(static_cast<std::size_t>(m), 0.0);
-    col.g.assign(static_cast<std::size_t>(m) + 1, 0.0);
-    col.bcol.resize(nz);
-    b.get_column(static_cast<index_t>(c), col.bcol);
+    cols.emplace_back(static_cast<std::size_t>(n), options.restart);
   }
+  // Per-tick column operands: pack sources and unpack destinations (null
+  // for an idle column) and the columns the column region runs.
+  std::vector<const real_t*> src(ks);
+  std::vector<real_t*> dst(ks);
+  std::vector<std::size_t> live(ks);
+  std::iota(live.begin(), live.end(), std::size_t{0});
+
+  for (std::size_t c = 0; c < ks; ++c) dst[c] = cols[c].x.data();
+  par_unpack_columns(team, x, dst);
 
   // Convergence targets in the preconditioned norm: one batched apply of
-  // M^{-1} to all of b, then per-column norms of the gathered results.
+  // M^{-1} to all of b, unpacked into each column's v0.
   apply_precond_batch(team, precond, options.mixed_precision, b, out.view());
-  for (std::size_t c = 0; c < ks; ++c) {
-    out.view().get_column(static_cast<index_t>(c), colbuf);
-    const real_t pb_norm = par_norm2(team, colbuf);
+  for (std::size_t c = 0; c < ks; ++c) dst[c] = cols[c].v(0).data();
+  par_unpack_columns(team, out.view(), dst);
+  for_each_column(team, live, [&](std::size_t c) {
+    const real_t pb_norm = team_order_norm2(cols[c].v(0), p);
     cols[c].target = options.rtol * (pb_norm > 0.0 ? pb_norm : 1.0);
+  });
+  // Columns needing no work (max_iterations <= 0) are Done immediately.
+  if (options.max_iterations <= 0) {
+    for (auto& col : cols) col.phase = GmresColumn::Phase::kDone;
   }
 
-  const auto H = [m](GmresColumn& col, int i, int j) -> real_t& {
-    return col.h[static_cast<std::size_t>(j * (m + 1) + i)];
-  };
-
-  // Columns needing no work (max_iterations == 0) are Done immediately.
-  for (auto& col : cols) {
-    if (col.res.iterations >= options.max_iterations) {
-      col.phase = GmresColumn::Phase::kDone;
-    }
-  }
-
-  auto all_done = [&] {
-    return std::all_of(cols.begin(), cols.end(), [](const GmresColumn& c) {
-      return c.phase == GmresColumn::Phase::kDone;
-    });
-  };
-
-  while (!all_done()) {
-    // --- Tick stage 1: every live column requests one operator
-    // application. Start-phase columns feed x (for the cycle-start
-    // residual), Arnoldi columns feed their current basis vector.
+  std::vector<unsigned char> starting(ks);
+  const std::vector<real_t> minus_one(ks, -1.0);
+  for (;;) {
+    live.clear();
+    bool any_start = false;
     for (std::size_t c = 0; c < ks; ++c) {
       auto& col = cols[c];
+      starting[c] = col.phase == GmresColumn::Phase::kStart;
+      src[c] = nullptr;
+      dst[c] = nullptr;
       if (col.phase == GmresColumn::Phase::kDone) continue;
-      if (col.phase == GmresColumn::Phase::kStart) {
-        x.get_column(static_cast<index_t>(c), colbuf);
-        in.view().set_column(static_cast<index_t>(c), colbuf);
+      live.push_back(c);
+      if (starting[c]) {
+        any_start = true;
+        src[c] = col.x.data();
+        dst[c] = col.v(0).data();
       } else {
-        in.view().set_column(static_cast<index_t>(c),
-                             col.basis[static_cast<std::size_t>(col.j)]);
+        src[c] = col.v(col.j).data();
+        dst[c] = col.v(col.j + 1).data();
       }
     }
-    // --- Tick stage 2: one batched SpMV for all columns.
+    if (live.empty()) break;
+    // One tick: pack each live column's operand (x for a cycle start,
+    // v_j for an Arnoldi step), one batched SpMV, b - A x for the cycle
+    // starts, one batched preconditioner apply, unpack into v0 / v_{j+1},
+    // then every live column's step on one member each.
+    par_pack_columns(team, src, in.view());
     spmv.apply(team, in.view(), mid.view());
-    // --- Tick stage 3: Start columns turn A·x into the residual
-    // b - A·x (same par_xpby as the single driver, on the gathered
-    // column).
-    for (std::size_t c = 0; c < ks; ++c) {
-      auto& col = cols[c];
-      if (col.phase != GmresColumn::Phase::kStart) continue;
-      mid.view().get_column(static_cast<index_t>(c), colbuf);
-      par_xpby(team, col.bcol, -1.0, colbuf);
-      mid.view().set_column(static_cast<index_t>(c), colbuf);
+    if (any_start) {
+      par_batch_xpby(team, b, minus_one, mid.view(), starting.data());
     }
-    // --- Tick stage 4: one batched preconditioner apply for all
-    // columns (the satellite point: multi-RHS GMRES actually reaches
-    // apply_batch / the fused IluApplyKernel sweep).
     apply_precond_batch(team, precond, options.mixed_precision, mid.view(),
                         out.view());
-    // --- Tick stage 5: per-column post-processing, mirroring the
-    // single-RHS driver statement for statement.
-    for (std::size_t c = 0; c < ks; ++c) {
+    par_unpack_columns(team, out.view(), dst);
+    for_each_column(team, live, [&](std::size_t c) {
       auto& col = cols[c];
-      if (col.phase == GmresColumn::Phase::kDone) continue;
       if (col.phase == GmresColumn::Phase::kStart) {
-        auto& v0 = col.basis[0];
-        out.view().get_column(static_cast<index_t>(c), v0);
-        col.beta = par_norm2(team, v0);
-        if (col.beta <= col.target) {
-          col.res.converged = true;
-          col.phase = GmresColumn::Phase::kDone;
-          continue;
-        }
-        par_scale(team, 1.0 / col.beta, v0);
-        std::fill(col.g.begin(), col.g.end(), 0.0);
-        col.g[0] = col.beta;
-        col.j = 0;
-        col.phase = GmresColumn::Phase::kArnoldi;
-        continue;
-      }
-      // Arnoldi step j for this column.
-      const int j = col.j;
-      ++col.res.iterations;
-      auto& w = col.basis[static_cast<std::size_t>(j) + 1];
-      out.view().get_column(static_cast<index_t>(c), w);
-      // Modified Gram-Schmidt.
-      for (int i = 0; i <= j; ++i) {
-        const real_t hij =
-            par_dot(team, w, col.basis[static_cast<std::size_t>(i)]);
-        H(col, i, j) = hij;
-        par_axpy(team, -hij, col.basis[static_cast<std::size_t>(i)], w);
-      }
-      const real_t hnext = par_norm2(team, w);
-      H(col, j + 1, j) = hnext;
-      if (hnext > 0.0) par_scale(team, 1.0 / hnext, w);
-
-      for (int i = 0; i < j; ++i) {
-        const real_t t = col.cs[static_cast<std::size_t>(i)] * H(col, i, j) +
-                         col.sn[static_cast<std::size_t>(i)] * H(col, i + 1, j);
-        H(col, i + 1, j) =
-            -col.sn[static_cast<std::size_t>(i)] * H(col, i, j) +
-            col.cs[static_cast<std::size_t>(i)] * H(col, i + 1, j);
-        H(col, i, j) = t;
-      }
-      const real_t denom = std::hypot(H(col, j, j), H(col, j + 1, j));
-      col.cs[static_cast<std::size_t>(j)] =
-          denom == 0.0 ? 1.0 : H(col, j, j) / denom;
-      col.sn[static_cast<std::size_t>(j)] =
-          denom == 0.0 ? 0.0 : H(col, j + 1, j) / denom;
-      H(col, j, j) = denom;
-      H(col, j + 1, j) = 0.0;
-      col.g[static_cast<std::size_t>(j) + 1] =
-          -col.sn[static_cast<std::size_t>(j)] *
-          col.g[static_cast<std::size_t>(j)];
-      col.g[static_cast<std::size_t>(j)] =
-          col.cs[static_cast<std::size_t>(j)] *
-          col.g[static_cast<std::size_t>(j)];
-
-      const bool inner_break =
-          std::abs(col.g[static_cast<std::size_t>(j) + 1]) <= col.target;
-      col.j = j + 1;
-      const bool cycle_over =
-          inner_break || col.j >= m ||
-          col.res.iterations >= options.max_iterations;
-      if (!cycle_over) continue;
-
-      // End of cycle: back-substitute H y = g, update x's column, check.
-      const int jf = col.j;
-      std::vector<real_t> y(static_cast<std::size_t>(jf), 0.0);
-      for (int i = jf - 1; i >= 0; --i) {
-        real_t sum = col.g[static_cast<std::size_t>(i)];
-        for (int t = i + 1; t < jf; ++t) {
-          sum -= H(col, i, t) * y[static_cast<std::size_t>(t)];
-        }
-        y[static_cast<std::size_t>(i)] = sum / H(col, i, i);
-      }
-      x.get_column(static_cast<index_t>(c), colbuf);
-      for (int i = 0; i < jf; ++i) {
-        par_axpy(team, y[static_cast<std::size_t>(i)],
-                 col.basis[static_cast<std::size_t>(i)], colbuf);
-      }
-      x.set_column(static_cast<index_t>(c), colbuf);
-      col.res.residual_norm = std::abs(col.g[static_cast<std::size_t>(jf)]);
-      if (col.res.residual_norm <= col.target) {
-        col.res.converged = true;
-        col.phase = GmresColumn::Phase::kDone;
-      } else if (col.res.iterations >= options.max_iterations) {
-        col.phase = GmresColumn::Phase::kDone;
+        gmres_start(col, p);
       } else {
-        col.phase = GmresColumn::Phase::kStart;
+        gmres_arnoldi(col, options.max_iterations, p);
       }
-    }
+    });
   }
+
+  for (std::size_t c = 0; c < ks; ++c) src[c] = cols[c].x.data();
+  par_pack_columns(team, src, x);
 
   std::vector<KrylovResult> results(ks);
   for (std::size_t c = 0; c < ks; ++c) {

@@ -57,7 +57,9 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                        const KrylovOptions& options = {});
 
 /// Left-preconditioned restarted GMRES(m) for general nonsymmetric A.
-/// `precond` may be null. x holds the initial guess / solution.
+/// `precond` may be null. x holds the initial guess / solution. Throws
+/// std::invalid_argument, before allocating anything, unless
+/// `options.restart >= 1` (as does the multi-RHS overload).
 KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                          std::span<const real_t> b, std::span<real_t> x,
                          Preconditioner* precond,
@@ -71,13 +73,28 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 /// `IluApplyKernel` sweep) across all still-active columns, so the
 /// per-wavefront synchronization of the triangular solves is paid once
 /// for the whole batch. Convergence stays *uncoupled*: a column that
-/// meets its own target is frozen (masked out of every update) while
-/// the rest keep iterating, and because the batched kernels and the
-/// `par_batch_*` ops are bit-for-bit equal per column to their
-/// single-vector counterparts, each column's iterates, iteration count,
-/// and result are bit-for-bit identical to running that column through
-/// the single-RHS driver alone (pinned by tests/solver_test.cpp).
-/// Returns one KrylovResult per column.
+/// meets its own target is frozen while the rest keep iterating, and
+/// each column's iterates, iteration count, and result are bit-for-bit
+/// identical to running that column through the single-RHS driver alone
+/// on the same team (pinned by tests/solver_test.cpp and, under TSan,
+/// tests/stress_test.cpp). Returns one KrylovResult per column.
+///
+/// PCG updates its columns with the masked `par_batch_*` ops, whose
+/// per-column results equal the single-vector ops bit for bit.
+///
+/// GMRES keeps each column's iterate and basis as contiguous vectors and
+/// runs one tick as: a row-parallel transpose (`par_pack_columns`) of
+/// every live column's operand — x at a cycle start, v_j in an Arnoldi
+/// step — into the SpMV input batch; the batched SpMV (and b - A x for
+/// the cycle starts); the batched preconditioner; a transpose back
+/// (`par_unpack_columns`) into each column's v_0 or v_{j+1}; and ONE
+/// column region in which members take whole columns from a shared
+/// cursor and run that column's entire step: normalization at a cycle
+/// start, else modified Gram-Schmidt, the Givens rotations and, at cycle
+/// end, the back-substitution and x update. The bit-for-bit claim holds
+/// because the elementwise updates give the same bits on any partition,
+/// and every dot runs as `team_order_dot(.., team.size())`: exactly
+/// `par_dot`'s summation order on this team, computed by one member.
 std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                                     ConstBatchView b, BatchView x,
                                     Preconditioner* precond,

@@ -1,5 +1,6 @@
 #include "sparse/parallel_ops.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -94,6 +95,61 @@ real_t par_norm2(ThreadTeam& team, std::span<const real_t> x) {
 
 namespace {
 
+/// s[u] <- the par_dot partial of block t0 + u of `nthreads` over [0, n),
+/// for u in [0, C): each chain starts at 0.0 and adds its block's
+/// products in ascending order; the C chains are interleaved.
+template <int C>
+void block_partials(const real_t* x, const real_t* y, index_t n, int t0,
+                    int nthreads, real_t* s) {
+  std::size_t begin[C];
+  std::size_t len[C];
+  std::size_t common = static_cast<std::size_t>(n);
+  for (int u = 0; u < C; ++u) {
+    const BlockRange r = block_range(n, t0 + u, nthreads);
+    begin[u] = static_cast<std::size_t>(r.begin);
+    len[u] = static_cast<std::size_t>(r.end - r.begin);
+    common = std::min(common, len[u]);
+    s[u] = 0.0;
+  }
+  for (std::size_t i = 0; i < common; ++i) {
+    for (int u = 0; u < C; ++u) s[u] += x[begin[u] + i] * y[begin[u] + i];
+  }
+  // Block lengths differ by at most one: finish the longer blocks.
+  for (int u = 0; u < C; ++u) {
+    for (std::size_t i = common; i < len[u]; ++i) {
+      s[u] += x[begin[u] + i] * y[begin[u] + i];
+    }
+  }
+}
+
+}  // namespace
+
+real_t team_order_dot(std::span<const real_t> x, std::span<const real_t> y,
+                      int nthreads) {
+  assert(x.size() == y.size() && nthreads >= 1);
+  constexpr int kChains = 4;
+  const auto n = static_cast<index_t>(x.size());
+  real_t s[kChains];
+  real_t total = 0.0;
+  for (int t0 = 0; t0 < nthreads; t0 += kChains) {
+    const int c = std::min(kChains, nthreads - t0);
+    switch (c) {
+      case 4: block_partials<4>(x.data(), y.data(), n, t0, nthreads, s); break;
+      case 3: block_partials<3>(x.data(), y.data(), n, t0, nthreads, s); break;
+      case 2: block_partials<2>(x.data(), y.data(), n, t0, nthreads, s); break;
+      default: block_partials<1>(x.data(), y.data(), n, t0, nthreads, s);
+    }
+    for (int u = 0; u < c; ++u) total += s[u];
+  }
+  return total;
+}
+
+real_t team_order_norm2(std::span<const real_t> x, int nthreads) {
+  return std::sqrt(team_order_dot(x, x, nthreads));
+}
+
+namespace {
+
 /// Shared shape of the masked batched elementwise updates: rows are
 /// block-partitioned exactly like the single-vector ops; within a row the
 /// column loop skips frozen lanes. Each active lane's per-element op is
@@ -182,6 +238,56 @@ void par_batch_norm2(ThreadTeam& team, ConstBatchView x,
                      std::span<real_t> out) {
   par_batch_dot(team, x, x, out);
   for (auto& v : out) v = std::sqrt(v);
+}
+
+namespace {
+
+/// Rows per tile of the column transposes: a tile's k-wide batch strips
+/// stay in L1 while the k column streams pass over them.
+constexpr index_t kTransposeTile = 256;
+
+/// Calls op(cols[j], j, lo, hi) for every non-null column j, over row
+/// tiles [lo, hi) of each member's block of rows.
+template <class Ptr, class Op>
+void transpose_tiles(ThreadTeam& team, index_t n, std::span<Ptr const> cols,
+                     Op&& op) {
+  team.parallel_blocks(n, [&](int, index_t b, index_t e) {
+    for (index_t t = b; t < e; t += kTransposeTile) {
+      const index_t te = std::min(e, t + kTransposeTile);
+      for (std::size_t j = 0; j < cols.size(); ++j) {
+        if (cols[j] != nullptr) {
+          op(cols[j], j, static_cast<std::size_t>(t),
+             static_cast<std::size_t>(te));
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
+
+void par_pack_columns(ThreadTeam& team, std::span<const real_t* const> src,
+                      BatchView dst) {
+  assert(static_cast<index_t>(src.size()) == dst.width());
+  const std::size_t k = src.size();
+  real_t* d = dst.data();
+  transpose_tiles(team, dst.rows(), src,
+                  [=](const real_t* s, std::size_t j, std::size_t lo,
+                      std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) d[i * k + j] = s[i];
+                  });
+}
+
+void par_unpack_columns(ThreadTeam& team, ConstBatchView src,
+                        std::span<real_t* const> dst) {
+  assert(static_cast<index_t>(dst.size()) == src.width());
+  const std::size_t k = dst.size();
+  const real_t* s = src.data();
+  transpose_tiles(team, src.rows(), dst,
+                  [=](real_t* d, std::size_t j, std::size_t lo,
+                      std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) d[i] = s[i * k + j];
+                  });
 }
 
 void par_demote(ThreadTeam& team, ConstBatchView src, BatchViewF dst) {

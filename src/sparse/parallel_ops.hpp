@@ -49,6 +49,20 @@ void par_scale(ThreadTeam& team, real_t a, std::span<real_t> x);
 /// Returns ||x||_2.
 [[nodiscard]] real_t par_norm2(ThreadTeam& team, std::span<const real_t> x);
 
+/// Returns <x, y> computed by the calling thread alone, bit for bit equal
+/// to `par_dot` on a team of `nthreads` members: one partial per
+/// `block_range(n, t, nthreads)` block, each summed in ascending order
+/// from 0.0, then added to 0.0 in block order. The partials run as
+/// interleaved independent chains, so the sequential twin keeps the
+/// instruction-level parallelism the blocks allow. It lets one team
+/// member compute a whole vector's dot inside a column-parallel region
+/// (the lockstep multi-RHS GMRES) with the single-RHS driver's rounding.
+[[nodiscard]] real_t team_order_dot(std::span<const real_t> x,
+                                    std::span<const real_t> y, int nthreads);
+
+/// Returns sqrt(team_order_dot(x, x, nthreads)) — `par_norm2`'s twin.
+[[nodiscard]] real_t team_order_norm2(std::span<const real_t> x, int nthreads);
+
 /// y <- A x with rows block-partitioned over the team.
 void par_spmv(ThreadTeam& team, const CsrMatrix& a, std::span<const real_t> x,
               std::span<real_t> y);
@@ -78,6 +92,16 @@ void par_batch_dot(ThreadTeam& team, ConstBatchView x, ConstBatchView y,
 /// out[j] <- ||x(:, j)||_2 for every column.
 void par_batch_norm2(ThreadTeam& team, ConstBatchView x,
                      std::span<real_t> out);
+
+/// Row-parallel transposes between k contiguous vectors and a row-major
+/// n×k batch. Pack: dst(:, j) <- src[j][0..n) for every j whose pointer
+/// is non-null; other columns of dst are left untouched. Unpack:
+/// dst[j][0..n) <- src(:, j) likewise. Pure copies, so every value
+/// arrives bit for bit.
+void par_pack_columns(ThreadTeam& team, std::span<const real_t* const> src,
+                      BatchView dst);
+void par_unpack_columns(ThreadTeam& team, ConstBatchView src,
+                        std::span<real_t* const> dst);
 
 /// Team-parallel storage-precision conversion for the mixed path:
 /// round-to-nearest demotion to float32 / exact promotion to double.

@@ -1,8 +1,10 @@
 #include "workload/stencil.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "sparse/coo_builder.hpp"
 #include "workload/rng.hpp"
@@ -21,11 +23,23 @@ std::vector<real_t> manufactured_rhs(const CsrMatrix& a,
   return rhs;
 }
 
+[[noreturn]] void throw_grid_too_large(const char* what) {
+  throw std::invalid_argument(std::string(what) +
+                              ": grid has more rows than index_t holds");
+}
+
+/// a * b for positive grid extents; a product past index_t throws
+/// instead of overflowing.
+index_t checked_rows(index_t a, index_t b, const char* what) {
+  if (a > std::numeric_limits<index_t>::max() / b) throw_grid_too_large(what);
+  return a * b;
+}
+
 }  // namespace
 
 LinearSystem five_point(index_t nx, index_t ny) {
   if (nx < 1 || ny < 1) throw std::invalid_argument("five_point: empty grid");
-  const index_t n = nx * ny;
+  const index_t n = checked_rows(nx, ny, "five_point");
   const real_t hx = 1.0 / (nx + 1);
   const real_t hy = 1.0 / (ny + 1);
   const auto x_of = [&](index_t i) { return (i + 1) * hx; };
@@ -78,7 +92,7 @@ LinearSystem five_point(index_t nx, index_t ny) {
 
 LinearSystem nine_point(index_t nx, index_t ny) {
   if (nx < 1 || ny < 1) throw std::invalid_argument("nine_point: empty grid");
-  const index_t n = nx * ny;
+  const index_t n = checked_rows(nx, ny, "nine_point");
   const real_t h = 1.0 / (nx + 1);  // box scheme assumes hx == hy
   if (ny != nx) {
     // The paper only uses square grids (63x63, 127x127); keep the compact
@@ -127,7 +141,8 @@ LinearSystem seven_point(index_t nx, index_t ny, index_t nz) {
   if (nx < 1 || ny < 1 || nz < 1) {
     throw std::invalid_argument("seven_point: empty grid");
   }
-  const index_t n = nx * ny * nz;
+  const index_t n =
+      checked_rows(checked_rows(nx, ny, "seven_point"), nz, "seven_point");
   const real_t hx = 1.0 / (nx + 1);
   const real_t hy = 1.0 / (ny + 1);
   const real_t hz = 1.0 / (nz + 1);
@@ -192,8 +207,9 @@ LinearSystem block_seven_point(index_t nx, index_t ny, index_t nz,
   if (nx < 1 || ny < 1 || nz < 1 || block < 1) {
     throw std::invalid_argument("block_seven_point: bad dimensions");
   }
-  const index_t cells = nx * ny * nz;
-  const index_t n = cells * block;
+  const index_t cells = checked_rows(
+      checked_rows(nx, ny, "block_seven_point"), nz, "block_seven_point");
+  const index_t n = checked_rows(cells, block, "block_seven_point");
   const auto cell = [&](index_t i, index_t j, index_t k) {
     return (k * ny + j) * nx + i;
   };

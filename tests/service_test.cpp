@@ -247,6 +247,10 @@ TEST(ServiceWorkloadTest, ResolvesNamedAndParametricProblems) {
   EXPECT_EQ(service_workload("5pt:8").a.rows(), 64);
   EXPECT_EQ(service_workload("9pt:4").a.rows(), 16);
   EXPECT_EQ(service_workload("7pt:3").a.rows(), 27);
+  // The entry counts the frame-size bound assumes for an N-wide grid.
+  EXPECT_EQ(service_workload("5pt:8").a.nnz(), 5 * 64 - 4 * 8);
+  EXPECT_EQ(service_workload("9pt:4").a.nnz(), (3 * 4 - 2) * (3 * 4 - 2));
+  EXPECT_EQ(service_workload("7pt:3").a.nnz(), 7 * 27 - 6 * 9);
 }
 
 TEST(ServiceWorkloadTest, UnknownNamesAreTypedErrors) {
@@ -431,6 +435,30 @@ TEST(SolveServiceTest, SingularUploadIsBadRequestAndSolverThreadSurvives) {
   service.upload_matrix(session, 2, system.a, 0).get();
   const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
   EXPECT_EQ(service.solve(session, 2, rhs).get(),
+            reference_solves(system, 0, {rhs})[0]);
+}
+
+TEST(SolveServiceTest, OversizedParametricWorkloadsAreBadRequestsAndSessionSurvives) {
+  // Client-chosen grid sizes whose index products overflowed in the
+  // stencil generators (5pt:50000 and 9pt:1000009 in n = nx*ny,
+  // 7pt:2000 in nx*ny*nz), plus the first size past each frame ceiling.
+  // Each must be a typed kBadRequest from the real solver thread, and the
+  // same session must then open and solve a normal workload.
+  ServiceConfig config = test_config();
+  config.manual_drain = false;
+  SolveService service(config);
+  const auto session = service.open_session();
+  std::uint32_t id = 1;
+  for (const char* name : {"5pt:50000", "9pt:1000009", "7pt:2000", "5pt:2049",
+                           "9pt:1549", "7pt:146"}) {
+    auto rejected = service.open_workload(session, id++, name, 0);
+    expect_errc(ServiceErrc::kBadRequest, [&] { rejected.get(); });
+  }
+
+  service.open_workload(session, id, "5pt", 0).get();
+  const LinearSystem system = service_workload("5pt");
+  const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
+  EXPECT_EQ(service.solve(session, id, rhs).get(),
             reference_solves(system, 0, {rhs})[0]);
 }
 

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
+#include <stdexcept>
 
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
@@ -399,40 +401,77 @@ TEST(BatchedKrylovTest, PcgColumnsAreBitForBitTheSingleRhsDriver) {
 }
 
 TEST(BatchedKrylovTest, GmresColumnsAreBitForBitTheSingleRhsDriver) {
-  ThreadTeam team(4);
+  // Each column must match the single-RHS driver while the columns part
+  // ways: distinct seeded right-hand sides converge after different
+  // iteration counts, a zero column finishes at its first cycle start,
+  // one column starts from a nonzero guess, short restarts take the live
+  // columns through cycle starts after others have frozen, and iteration
+  // caps stop columns mid-cycle. Teams of 1..4 members (3 gives uneven
+  // blocks) change the order of par_dot's partial sums, which the batched
+  // driver's per-column dots must reproduce.
   const auto sys = five_point(15, 15);
   const index_t n = sys.a.rows();
-  const index_t k = 3;
-  IluPreconditioner precond(team, sys.a, 0);
-  precond.factor(team, sys.a);
-
-  const BatchBuffer b = scaled_rhs_batch(sys.rhs, k);
-  BatchBuffer x(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    x.set_column(j, std::vector<real_t>(static_cast<std::size_t>(n), 0.0));
+  const auto nz = static_cast<std::size_t>(n);
+  const index_t k = 6;
+  BatchBuffer b = scaled_rhs_batch(sys.rhs, k);
+  std::mt19937_64 rng(20260417);
+  std::uniform_real_distribution<real_t> dist(-1.0, 1.0);
+  for (const index_t j : {3, 4}) {
+    std::vector<real_t> col(nz);
+    for (auto& v : col) v = dist(rng);
+    b.set_column(j, col);
   }
-  KrylovOptions opt;
-  opt.rtol = 1e-8;
-  opt.max_iterations = 200;
-  const auto results =
-      gmres_solve(team, sys.a, b.view(), x.view(), &precond, opt);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(k));
-
-  std::vector<real_t> colb(static_cast<std::size_t>(n));
+  b.set_column(5, std::vector<real_t>(nz, 0.0));
+  BatchBuffer x0(n, k);
   for (index_t j = 0; j < k; ++j) {
-    b.get_column(j, colb);
-    std::vector<real_t> colx(static_cast<std::size_t>(n), 0.0);
-    const auto single = gmres_solve(team, sys.a, colb, colx, &precond, opt);
-    const auto& batched = results[static_cast<std::size_t>(j)];
-    EXPECT_TRUE(batched.converged) << "col=" << j;
-    EXPECT_EQ(batched.converged, single.converged) << "col=" << j;
-    EXPECT_EQ(batched.iterations, single.iterations) << "col=" << j;
-    EXPECT_EQ(batched.residual_norm, single.residual_norm) << "col=" << j;
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(x.view().at(i, j), colx[static_cast<std::size_t>(i)])
-          << "col=" << j << " row=" << i;
+    x0.set_column(j, std::vector<real_t>(nz, 0.0));
+  }
+  std::vector<real_t> guess(nz);
+  for (auto& v : guess) v = dist(rng);
+  x0.set_column(1, guess);
+
+  bool counts_differ = false;
+  std::vector<real_t> colb(nz);
+  for (const int procs : {1, 2, 3, 4}) {
+    ThreadTeam team(procs);
+    IluPreconditioner precond(team, sys.a, 0);
+    precond.factor(team, sys.a);
+    for (const int restart : {3, 7, 30}) {
+      for (const int cap : {200, 11}) {
+        SCOPED_TRACE(::testing::Message() << "procs=" << procs << " restart="
+                                          << restart << " cap=" << cap);
+        KrylovOptions opt;
+        opt.rtol = 1e-8;
+        opt.max_iterations = cap;
+        opt.restart = restart;
+        BatchBuffer x = x0;
+        const auto results =
+            gmres_solve(team, sys.a, b.view(), x.view(), &precond, opt);
+        ASSERT_EQ(results.size(), static_cast<std::size_t>(k));
+        for (index_t j = 0; j < k; ++j) {
+          b.get_column(j, colb);
+          std::vector<real_t> colx(nz);
+          x0.get_column(j, colx);
+          const auto single =
+              gmres_solve(team, sys.a, colb, colx, &precond, opt);
+          const auto& batched = results[static_cast<std::size_t>(j)];
+          if (restart == 30 && cap == 200) {
+            EXPECT_TRUE(batched.converged) << "col=" << j;
+          }
+          EXPECT_EQ(batched.converged, single.converged) << "col=" << j;
+          EXPECT_EQ(batched.iterations, single.iterations) << "col=" << j;
+          EXPECT_EQ(batched.residual_norm, single.residual_norm)
+              << "col=" << j;
+          counts_differ |= batched.iterations != results[0].iterations;
+          for (index_t i = 0; i < n; ++i) {
+            ASSERT_EQ(x.view().at(i, j), colx[static_cast<std::size_t>(i)])
+                << "col=" << j << " row=" << i;
+          }
+        }
+      }
     }
   }
+  EXPECT_TRUE(counts_differ);
 }
 
 TEST(BatchedKrylovTest, BatchedDriversReachApplyBatchAtFullWidth) {
@@ -579,6 +618,47 @@ TEST(KrylovEdge, ZeroRhsConvergesImmediately) {
   const auto res = gmres_solve(team, a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
+}
+
+TEST(KrylovEdge, GmresRejectsRestartBelowOne) {
+  // restart = 0 made the single-RHS driver restart forever (no Arnoldi
+  // step ever ran, so `iterations` never grew) and the batched driver
+  // write past its one-vector basis; restart = -1 escaped as
+  // std::length_error. Both drivers reject both with a typed error before
+  // allocating, and the team solves normally afterwards.
+  ThreadTeam team(2);
+  const auto sys = five_point(10, 10);
+  const index_t n = sys.a.rows();
+  const auto nz = static_cast<std::size_t>(n);
+  IluPreconditioner precond(team, sys.a, 0);
+  precond.factor(team, sys.a);
+  const index_t k = 3;
+  const BatchBuffer b = scaled_rhs_batch(sys.rhs, k);
+  BatchBuffer xb(n, k);
+  for (const int restart : {0, -1}) {
+    KrylovOptions opt;
+    opt.restart = restart;
+    std::vector<real_t> x(nz, 0.0);
+    EXPECT_THROW((void)gmres_solve(team, sys.a, sys.rhs, x, &precond, opt),
+                 std::invalid_argument)
+        << "restart=" << restart;
+    EXPECT_THROW(
+        (void)gmres_solve(team, sys.a, b.view(), xb.view(), &precond, opt),
+        std::invalid_argument)
+        << "restart=" << restart;
+  }
+
+  KrylovOptions opt;
+  opt.rtol = 1e-8;
+  std::vector<real_t> x(nz, 0.0);
+  EXPECT_TRUE(gmres_solve(team, sys.a, sys.rhs, x, &precond, opt).converged);
+  for (index_t j = 0; j < k; ++j) {
+    xb.set_column(j, std::vector<real_t>(nz, 0.0));
+  }
+  for (const auto& r :
+       gmres_solve(team, sys.a, b.view(), xb.view(), &precond, opt)) {
+    EXPECT_TRUE(r.converged);
+  }
 }
 
 TEST(KrylovEdge, WarmStartFromExactSolution) {

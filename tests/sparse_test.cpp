@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
 
 #include "runtime/thread_team.hpp"
 #include "sparse/coo_builder.hpp"
@@ -288,6 +291,29 @@ TEST_P(ParallelOpsTest, SpmvMatchesSequential) {
   a.spmv(x, y_seq);
   par_spmv(team, a, x, y_par);
   for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(y_par[i], y_seq[i]);
+}
+
+TEST_P(ParallelOpsTest, TeamOrderDotIsParDotBitForBit) {
+  // The sequential twin must reproduce par_dot's rounding on a team of
+  // the same size exactly. Magnitudes spread over 2^±30 make any other
+  // summation order round differently; n = 3 leaves most blocks empty.
+  const int procs = GetParam();
+  ThreadTeam team(procs);
+  std::mt19937_64 rng(777);
+  std::uniform_real_distribution<real_t> mantissa(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const auto bits = [](real_t v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {0, 3, 777}) {
+    std::vector<real_t> x(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = std::ldexp(mantissa(rng), exponent(rng));
+      y[i] = std::ldexp(mantissa(rng), exponent(rng));
+    }
+    EXPECT_EQ(bits(team_order_dot(x, y, procs)), bits(par_dot(team, x, y)))
+        << "n=" << n;
+    EXPECT_EQ(bits(team_order_norm2(x, procs)), bits(par_norm2(team, x)))
+        << "n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Teams, ParallelOpsTest,

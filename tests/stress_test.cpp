@@ -8,8 +8,10 @@
 // windowed hybrid, the pipelined pending-counter/work-stealing machinery
 // and the point-to-point progress counters (including their abort path) —
 // is exercised with real contention (including processor counts far above
-// the host's core count) on every PR. Failures print the RNG seed; replay
-// any instance with RTL_TEST_SEED=<seed>.
+// the host's core count) on every PR. The batched GMRES's column-parallel
+// region rides along: its cursor and its per-column state handoff are
+// audited the same way. Failures print the RNG seed; replay any instance
+// with RTL_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +26,11 @@
 #include "kernel/batch.hpp"
 #include "kernel/bound_kernel.hpp"
 #include "runtime/thread_team.hpp"
+#include "solver/ilu_preconditioner.hpp"
+#include "solver/krylov.hpp"
 #include "sparse/csr.hpp"
 #include "test_rng.hpp"
+#include "workload/stencil.hpp"
 
 namespace rtl {
 namespace {
@@ -293,6 +298,66 @@ TEST_P(SchedulerStressTest, LayoutKernelSurvivesWidthChurnOversubscribed) {
       for (index_t i = 0; i < n; ++i) {
         ASSERT_EQ(got_layout.view().at(i, j), got_gather.view().at(i, j))
             << "k=" << k << " col=" << j << " row=" << i;
+      }
+    }
+  }
+}
+
+TEST(KrylovStressTest, BatchedGmresColumnsMatchSingleRhsAtEveryTeamSize) {
+  // The lockstep GMRES deals whole columns to team members through a
+  // shared cursor, then hands every column's state back to the caller for
+  // the next tick's pack; under TSan this audits both at team sizes 1..8
+  // (oversubscribed on small hosts). Sixteen seeded right-hand sides and
+  // a short restart make columns converge at different ticks and cycle
+  // starts; the k = 1 and k = 3 batches are their leading columns. Every
+  // column is pinned bit for bit to the single-RHS driver on the same
+  // team.
+  const std::uint64_t seed = test_seed(31);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(5, 5);
+  const index_t n = sys.a.rows();
+  const auto nz = static_cast<std::size_t>(n);
+  constexpr index_t kMax = 16;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<real_t> dist(-1.0, 1.0);
+  std::vector<std::vector<real_t>> rhs(kMax, std::vector<real_t>(nz));
+  for (auto& col : rhs) {
+    for (auto& v : col) v = dist(rng);
+  }
+  KrylovOptions opt;
+  opt.rtol = 1e-5;
+  opt.restart = 3;
+  opt.max_iterations = 40;
+  for (int p = 1; p <= 8; ++p) {
+    ThreadTeam team(p);
+    IluPreconditioner precond(team, sys.a, 0);
+    precond.factor(team, sys.a);
+    std::vector<std::vector<real_t>> ref_x(kMax, std::vector<real_t>(nz));
+    std::vector<KrylovResult> ref(kMax);
+    for (index_t j = 0; j < kMax; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
+      ref[ju] = gmres_solve(team, sys.a, rhs[ju], ref_x[ju], &precond, opt);
+    }
+    for (const index_t k : {1, 3, 16}) {
+      BatchBuffer b(n, k), x(n, k);
+      for (index_t j = 0; j < k; ++j) {
+        b.set_column(j, rhs[static_cast<std::size_t>(j)]);
+        x.set_column(j, std::vector<real_t>(nz, 0.0));
+      }
+      const auto results =
+          gmres_solve(team, sys.a, b.view(), x.view(), &precond, opt);
+      for (index_t j = 0; j < k; ++j) {
+        const auto ju = static_cast<std::size_t>(j);
+        ASSERT_EQ(results[ju].iterations, ref[ju].iterations)
+            << "procs=" << p << " k=" << k << " col=" << j;
+        ASSERT_EQ(results[ju].converged, ref[ju].converged)
+            << "procs=" << p << " k=" << k << " col=" << j;
+        ASSERT_EQ(results[ju].residual_norm, ref[ju].residual_norm)
+            << "procs=" << p << " k=" << k << " col=" << j;
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(x.view().at(i, j), ref_x[ju][static_cast<std::size_t>(i)])
+              << "procs=" << p << " k=" << k << " col=" << j << " row=" << i;
+        }
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "graph/wavefront.hpp"
 #include "workload/problems.hpp"
@@ -47,6 +48,16 @@ TEST(StencilTest, NinePointDimensionsAndPattern) {
 
 TEST(StencilTest, NinePointRejectsNonSquare) {
   EXPECT_THROW(nine_point(4, 5), std::invalid_argument);
+}
+
+TEST(StencilTest, GridSizeProductOverflowThrows) {
+  // n = nx*ny[*nz] must fit index_t; these products used to overflow it
+  // (signed-overflow UB) before a single row was generated.
+  EXPECT_THROW((void)five_point(50000, 50000), std::invalid_argument);
+  EXPECT_THROW((void)nine_point(1000009, 1000009), std::invalid_argument);
+  EXPECT_THROW((void)seven_point(2000, 2000, 2000), std::invalid_argument);
+  EXPECT_THROW((void)block_seven_point(1000, 1000, 1000, 6),
+               std::invalid_argument);
 }
 
 TEST(StencilTest, SevenPointDimensionsAndPattern) {
