@@ -25,26 +25,14 @@
 // wall-clock deltas the counters are the accepted evidence that the
 // pipelined path takes zero per-phase barriers (docs/PERF.md).
 //
-// PR 9 additions, same in-binary A/B discipline: every batched record
-// gets a `scalar_*` twin timed through the scalar dispatch
-// (select_simd(false)) and pinned bit-for-bit against the SIMD one; the
-// SpMV kernel family gets its own `spmv_k*` sweep; the float32-storage
-// apply (`batch_f32_k16_*`) and the column gather/scatter micro-records
-// round out the set. Each kernel record carries its roofline
-// bytes-touched model (`*_bytes`) and achieved bandwidth (`*_gbps`,
-// informational units — not gated).
-//
-// PR 10 additions: the bind-time execution layout (kernel/layout.hpp)
-// gets the same treatment. The un-prefixed records keep their historical
-// meaning — gather dispatch — by pinning select_layout(false) on every
-// timed solver; `layout_*` / `scalar_layout_*` twins then time the packed
-// schedule-order path in the same process, each pinned bit-for-bit
-// against the gather result. `batch_layout_bytes` / `spmv_layout_bytes`
-// record the packing footprint (unit "bytes", exact-match gated: they are
-// deterministic functions of structure and processor count). The
-// RTL_REORDER knob (none/rcm/wavefront) permutes the case matrices before
-// factoring and is stamped into the JSON config so compared runs are
-// always apples-to-apples.
+// The SpMV kernel family gets its own `spmv_k*` sweep, verified
+// bit-for-bit against k single applies; the float32-storage apply
+// (`batch_f32_k16_*`) and the column gather/scatter micro-records round
+// out the set. Each kernel record carries its roofline bytes-touched
+// model (`*_bytes`) and achieved bandwidth (`*_gbps`, informational
+// units — not gated). The RTL_REORDER knob (none/rcm/wavefront) permutes
+// the case matrices before factoring and is stamped into the JSON config
+// so compared runs are always apples-to-apples.
 
 #include <cctype>
 #include <cstdio>
@@ -55,7 +43,6 @@
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
 #include "kernel/batch.hpp"
-#include "kernel/layout.hpp"
 #include "kernel/spmv_kernel.hpp"
 #include "solver/parallel_triangular.hpp"
 #include "sparse/reorder.hpp"
@@ -156,10 +143,6 @@ int main() {
     const index_t n = c.ilu.size();
     const std::size_t nz = static_cast<std::size_t>(n);
     ParallelTriangularSolver solver(rt, c.ilu);
-    // The un-prefixed records below have always meant the gather dispatch;
-    // pin it regardless of the RTL_LAYOUT bind default so the trend data
-    // stays comparable, and time the layout path through its own twins.
-    solver.kernel().select_layout(false);
 
     // Single-RHS control pair: the old lambda path vs the bound kernel.
     std::vector<real_t> rhs(c.system.rhs);
@@ -178,19 +161,13 @@ int main() {
     }
     report.add(c.name, "lambda_single_ms", lambda_ms);
     report.add(c.name, "kernel_single_ms", kernel_ms);
-    // Kernel-level stats so plan_layout_bytes reflects the lower factor's
-    // bind-time packing, not the bare plan's zero.
-    report.add_plan_stats(c.name, solver.kernel().lower().stats());
-    report.add_scalar(c.name, "batch_layout_bytes",
-                      static_cast<double>(solver.kernel().layout_bytes()),
-                      "bytes");
+    report.add_plan_stats(c.name, solver.lower_plan().stats());
 
     std::printf("%-8s %12.3f %12.3f |", c.name.c_str(), lambda_ms.min,
                 kernel_ms.min);
 
     // Batched sweeps: per-rhs cost vs batch width, verified against k
     // sequential single-RHS solves.
-    std::vector<double> gather_mins, layout_mins;
     for (const index_t k : widths) {
       BatchBuffer brhs(n, k), bx(n, k);
       for (index_t j = 0; j < k; ++j) {
@@ -234,58 +211,6 @@ int main() {
         return 1;
       }
 
-      // In-binary scalar control: same kernels re-dispatched through the
-      // scalar bodies via select_simd, pinned bit-for-bit against the
-      // default (SIMD when compiled in) batched result. This is the
-      // interleaved A/B pair docs/PERF.md requires — both flavors live in
-      // this binary and this process, so the comparison cannot be
-      // polluted by build or boot-time differences.
-      BatchBuffer bx_scalar(n, k);
-      solver.kernel().select_simd(false);
-      const Stats scalar_ms = measure_ms(reps, [&] {
-        solver.solve(team, brhs.view(), bx_scalar.view());
-      });
-      solver.kernel().select_simd(true);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          if (bx.view().at(i, j) != bx_scalar.view().at(i, j)) {
-            std::fprintf(stderr,
-                         "%s: scalar k=%d diverged from simd dispatch\n",
-                         c.name.c_str(), k);
-            return 1;
-          }
-        }
-      }
-
-      // Layout twins: the same batch re-solved through the bind-time
-      // packed layout, SIMD and scalar flavors, each pinned bit-for-bit
-      // against the gather results above. The layout is built whenever it
-      // is compiled in (the env only picks the bind default), so one
-      // binary carries the whole gather-vs-layout A/B pair — the
-      // interleaved comparison docs/PERF.md requires.
-      BatchBuffer bx_layout(n, k), bx_scalar_layout(n, k);
-      solver.kernel().select_layout(true);
-      const Stats layout_ms = measure_ms(reps, [&] {
-        solver.solve(team, brhs.view(), bx_layout.view());
-      });
-      solver.kernel().select_simd(false);
-      const Stats scalar_layout_ms = measure_ms(reps, [&] {
-        solver.solve(team, brhs.view(), bx_scalar_layout.view());
-      });
-      solver.kernel().select_simd(true);
-      solver.kernel().select_layout(false);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          if (bx.view().at(i, j) != bx_layout.view().at(i, j) ||
-              bx.view().at(i, j) != bx_scalar_layout.view().at(i, j)) {
-            std::fprintf(stderr,
-                         "%s: layout k=%d diverged from gather dispatch\n",
-                         c.name.c_str(), k);
-            return 1;
-          }
-        }
-      }
-
       const std::string kk = "batch_k" + std::to_string(k);
       report.add(c.name, kk + "_solve_ms", batch_ms);
       report.add_scalar(c.name, kk + "_ms_per_rhs",
@@ -295,34 +220,16 @@ int main() {
                                     "_ms_per_rhs",
                         singles_ms.mean / static_cast<double>(k),
                         "ms-derived");
-      report.add(c.name, "scalar_" + kk + "_solve_ms", scalar_ms);
-      report.add_scalar(c.name, "scalar_" + kk + "_ms_per_rhs",
-                        scalar_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "layout_" + kk + "_solve_ms", layout_ms);
-      report.add_scalar(c.name, "layout_" + kk + "_ms_per_rhs",
-                        layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "scalar_layout_" + kk + "_solve_ms",
-                 scalar_layout_ms);
-      report.add_scalar(c.name, "scalar_layout_" + kk + "_ms_per_rhs",
-                        scalar_layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
 
       // Roofline traffic of the fused L+U apply at this width, and the
       // achieved bandwidth of the timed batched solve (informational:
-      // unit is not gated). The layout twin reuses the same traffic model
-      // so the two bandwidths compare like for like.
+      // unit is not gated).
       const double bytes = static_cast<double>(
           solver.kernel().lower().bytes_per_solve(k) +
           solver.kernel().upper().bytes_per_solve(k));
       report.add_scalar(c.name, kk + "_bytes", bytes, "bytes");
       report.add_scalar(c.name, kk + "_gbps",
                         bytes / (batch_ms.min * 1e6), "GB/s");
-      report.add_scalar(c.name, "layout_" + kk + "_gbps",
-                        bytes / (layout_ms.min * 1e6), "GB/s");
-      gather_mins.push_back(batch_ms.min);
-      layout_mins.push_back(layout_ms.min);
       std::printf(" %10.4f", batch_ms.min / static_cast<double>(k));
     }
 
@@ -371,11 +278,6 @@ int main() {
       report.add(c.name, "column_scatter16_ms", scatter_ms);
     }
     std::printf("\n");
-    std::printf("%-8s layout  k=1 %9.4f  k=4 %9.4f  k=16 %9.4f ms"
-                "  (gather %9.4f %9.4f %9.4f)\n",
-                c.name.c_str(), layout_mins[0], layout_mins[1],
-                layout_mins[2], gather_mins[0], gather_mins[1],
-                gather_mins[2]);
 
     // Barrier vs pipelined scheduler on the same batches. Same kernel
     // bodies, same columns; the pipelined result is pinned bit-for-bit to
@@ -387,8 +289,6 @@ int main() {
     pipe_opts.execution = ExecutionPolicy::kPipelined;
     ParallelTriangularSolver barrier_solver(rt, c.ilu, barrier_opts);
     ParallelTriangularSolver pipe_solver(rt, c.ilu, pipe_opts);
-    barrier_solver.kernel().select_layout(false);
-    pipe_solver.kernel().select_layout(false);
     for (const index_t k : widths) {
       BatchBuffer brhs(n, k), bx_bar(n, k), bx_pipe(n, k);
       for (index_t j = 0; j < k; ++j) {
@@ -407,22 +307,6 @@ int main() {
           if (bx_bar.view().at(i, j) != bx_pipe.view().at(i, j)) {
             std::fprintf(stderr,
                          "%s: pipelined k=%d diverged from barrier path\n",
-                         c.name.c_str(), k);
-            return 1;
-          }
-        }
-      }
-      // One un-timed solve pinning the layout dispatch on the pipelined
-      // ragged panels against the barrier gather result.
-      pipe_solver.kernel().select_layout(true);
-      pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      pipe_solver.kernel().select_layout(false);
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          if (bx_bar.view().at(i, j) != bx_pipe.view().at(i, j)) {
-            std::fprintf(stderr,
-                         "%s: pipelined layout k=%d diverged from barrier "
-                         "gather path\n",
                          c.name.c_str(), k);
             return 1;
           }
@@ -472,55 +356,29 @@ int main() {
     }
 
     // The second kernel family: batched SpMV through the bound kernel,
-    // with the same in-binary scalar-vs-SIMD control pair and roofline
-    // records. Verified bit-for-bit against k single applies.
-    auto spmv = SpMVKernel::bind(c.system.a);
-    spmv.select_layout(false);  // un-prefixed records stay gather
-    report.add_scalar(c.name, "spmv_layout_bytes",
-                      static_cast<double>(spmv.layout_bytes()), "bytes");
+    // with roofline records. Verified bit-for-bit against k single
+    // applies.
+    const auto spmv = SpMVKernel::bind(c.system.a);
     for (const index_t k : widths) {
-      BatchBuffer sx(n, k), sy(n, k), sy_scalar(n, k);
-      BatchBuffer sy_layout(n, k), sy_scalar_layout(n, k);
+      BatchBuffer sx(n, k), sy(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(rhs);
         for (auto& v : col) v *= 1.0 + 0.25 * static_cast<real_t>(j);
         sx.set_column(j, col);
       }
-      spmv.select_simd(true);
       const Stats spmv_ms = measure_ms(reps, [&] {
         spmv.apply(team, sx.view(), sy.view());
       });
-      spmv.select_simd(false);
-      const Stats spmv_scalar_ms = measure_ms(reps, [&] {
-        spmv.apply(team, sx.view(), sy_scalar.view());
-      });
-      spmv.select_simd(true);
-
-      // Layout twins for the SpMV family: compressed-index decode, same
-      // accumulation order, pinned bit-for-bit below.
-      spmv.select_layout(true);
-      const Stats spmv_layout_ms = measure_ms(reps, [&] {
-        spmv.apply(team, sx.view(), sy_layout.view());
-      });
-      spmv.select_simd(false);
-      const Stats spmv_scalar_layout_ms = measure_ms(reps, [&] {
-        spmv.apply(team, sx.view(), sy_scalar_layout.view());
-      });
-      spmv.select_simd(true);
-      spmv.select_layout(false);
 
       std::vector<real_t> colx(nz), coly(nz);
       for (index_t j = 0; j < k; ++j) {
         sx.get_column(j, colx);
         spmv.apply(team, colx, coly);
         for (index_t i = 0; i < n; ++i) {
-          if (sy.view().at(i, j) != coly[static_cast<std::size_t>(i)] ||
-              sy.view().at(i, j) != sy_scalar.view().at(i, j) ||
-              sy.view().at(i, j) != sy_layout.view().at(i, j) ||
-              sy.view().at(i, j) != sy_scalar_layout.view().at(i, j)) {
+          if (sy.view().at(i, j) != coly[static_cast<std::size_t>(i)]) {
             std::fprintf(stderr,
-                         "%s: spmv k=%d diverged (batched vs single, simd "
-                         "vs scalar, or layout vs gather)\n",
+                         "%s: batched spmv k=%d diverged from single "
+                         "applies\n",
                          c.name.c_str(), k);
             return 1;
           }
@@ -532,34 +390,14 @@ int main() {
       report.add(c.name, sk + "_apply_ms", spmv_ms);
       report.add_scalar(c.name, sk + "_ms_per_rhs",
                         spmv_ms.mean / static_cast<double>(k), "ms-derived");
-      report.add(c.name, "scalar_" + sk + "_apply_ms", spmv_scalar_ms);
-      report.add_scalar(c.name, "scalar_" + sk + "_ms_per_rhs",
-                        spmv_scalar_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "layout_" + sk + "_apply_ms", spmv_layout_ms);
-      report.add_scalar(c.name, "layout_" + sk + "_ms_per_rhs",
-                        spmv_layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
-      report.add(c.name, "scalar_layout_" + sk + "_apply_ms",
-                 spmv_scalar_layout_ms);
-      report.add_scalar(c.name, "scalar_layout_" + sk + "_ms_per_rhs",
-                        spmv_scalar_layout_ms.mean / static_cast<double>(k),
-                        "ms-derived");
       report.add_scalar(c.name, sk + "_bytes", sbytes, "bytes");
       report.add_scalar(c.name, sk + "_gbps",
                         sbytes / (spmv_ms.min * 1e6), "GB/s");
-      report.add_scalar(c.name, "layout_" + sk + "_gbps",
-                        sbytes / (spmv_layout_ms.min * 1e6), "GB/s");
-      std::printf("%-8s spmv k=%-2d simd %9.4f ms | scalar %9.4f ms | "
-                  "layout %9.4f ms\n",
-                  c.name.c_str(), k, spmv_ms.min, spmv_scalar_ms.min,
-                  spmv_layout_ms.min);
+      std::printf("%-8s spmv k=%-2d %9.4f ms\n", c.name.c_str(), k,
+                  spmv_ms.min);
     }
   }
   report.add_config("simd_compiled", simd_compiled() ? "yes" : "no");
-  report.add_config("simd_bound", simd_bind_default() ? "on" : "off");
-  report.add_config("layout_compiled", layout_compiled() ? "yes" : "no");
-  report.add_config("layout_bound", layout_bind_default() ? "on" : "off");
   report.add_plan_cache(rt.plan_cache_counters());
   return 0;
 }

@@ -165,10 +165,6 @@ void Reporter::add_plan_stats(const std::string& group,
   add_scalar(group, "plan_waits", static_cast<double>(stats.waits), "count");
   add_scalar(group, "plan_wait_bytes", static_cast<double>(stats.wait_bytes),
              "bytes");
-  // Bind-time execution layout packing (kernel/layout.hpp): 0 for a bare
-  // plan or a gather-only build; BoundKernel::stats() fills it in.
-  add_scalar(group, "plan_layout_bytes",
-             static_cast<double>(stats.layout_bytes), "bytes");
 }
 
 void Reporter::add_plan_cache(const Runtime::CacheCounters& counters) {

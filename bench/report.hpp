@@ -105,9 +105,8 @@ class Reporter {
 
   /// Record a plan's inspector-artifact shape and footprint: phase count,
   /// max/avg wavefront width ("count"), `Plan::memory_footprint()` bytes
-  /// and the bind-time layout packing bytes ("bytes" — exact-gated, they
-  /// are deterministic functions of the structure). Pass
-  /// `BoundKernel::stats()` to include the kernel's layout bytes.
+  /// and the point-to-point wait lists ("bytes" — exact-gated, they are
+  /// deterministic functions of the structure).
   void add_plan_stats(const std::string& group, const PlanStats& stats);
 
   /// Record `Runtime` plan-cache efficacy (hits/misses/evictions/entries

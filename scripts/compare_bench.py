@@ -295,7 +295,7 @@ def self_check():
                     _mkrec("P1", "tiny_ms", 0.001),
                     _mkrec("P1", "barrier_waits", 128.0, unit="count"),
                     _mkrec("P1", "steals", 17.0, unit="events"),
-                    _mkrec("P1", "layout_bytes", 65536.0, unit="bytes"),
+                    _mkrec("P1", "plan_bytes", 65536.0, unit="bytes"),
                     _mkrec("P1", "bandwidth", 12.5, unit="GB/s"),
                 ],
             ),
@@ -411,8 +411,8 @@ def self_check():
     r, _, _, probs = compare(base, ev, 0.10, 0.05, 0.0, out=io.StringIO())
     assert not r and not probs, "events records must stay informational"
 
-    # 14. Unit-"bytes" records (roofline traffic models, plan/layout
-    # packing sizes) gate by exact match like counters: a one-byte drift
+    # 14. Unit-"bytes" records (roofline traffic models, plan
+    # footprints) gate by exact match like counters: a one-byte drift
     # in either direction is a problem, and a vanished bytes record fails
     # like a vanished timing.
     bdrift = copy.deepcopy(base)
@@ -424,7 +424,7 @@ def self_check():
     bgone["runs"][0]["records"] = [
         r
         for r in bgone["runs"][0]["records"]
-        if r["metric"] != "layout_bytes"
+        if r["metric"] != "plan_bytes"
     ]
     _, _, _, probs = compare(base, bgone, 0.10, 0.05, 0.0, out=io.StringIO())
     assert any("vanished" in n for n in probs), "vanished bytes record missed"

@@ -72,10 +72,6 @@ struct PlanStats {
   std::size_t wait_bytes = 0;
   /// Total bytes of the immutable artifact (== memory_footprint()).
   std::size_t bytes = 0;
-  /// Bytes of the bind-time execution layout (kernel/layout.hpp) when the
-  /// stats come from a bound kernel; 0 for a bare plan, which owns no
-  /// layout. Included in `bytes` when nonzero.
-  std::size_t layout_bytes = 0;
 };
 
 /// Per-execution mutable state: the shared ready array, the

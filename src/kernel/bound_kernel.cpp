@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "kernel/simd.hpp"
+
 namespace rtl {
 
 namespace {
@@ -24,15 +26,6 @@ namespace {
 // matrix entries in storage order, divide by the diagonal last), so a
 // k-wide solve is bit-for-bit identical to k independent solves.
 // ---------------------------------------------------------------------
-
-// The layout bodies below are the same loops over the schedule-order
-// packing (kernel/layout.hpp): per iteration one 16-byte descriptor load,
-// then the row's values stream from the packed array (with the next
-// packed row prefetched — it is the row this processor executes next on
-// the pre-scheduled walk) and columns decode as base + compressed index.
-// Entry order within a row is untouched, so every floating-point
-// operation happens in exactly the gather body's order: layout results
-// are bit-for-bit identical to gather results.
 
 /// Row i of forward substitution: x(i) = rhs(i) - sum_j L(i,j) x(j).
 struct LowerSolveBody {
@@ -75,81 +68,6 @@ struct UpperSolveBody {
   }
 };
 
-/// Layout flavor of LowerSolveBody: packed values, compressed columns.
-struct LowerSolveLayoutBody {
-  const ExecutionLayout::Row* meta;
-  const real_t* pval;
-  const std::uint16_t* idx16;
-  const index_t* idx32;
-  const real_t* rhs;
-  real_t* x;
-
-  template <typename Idx>
-  void row(index_t i, const real_t* v, const Idx* ix, index_t base,
-           std::size_t len) const {
-    real_t sum = rhs[static_cast<std::size_t>(i)];
-    for (std::size_t t = 0; t < len; ++t) {
-      const std::size_t c =
-          static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
-      sum -= v[t] * x[c];
-    }
-    x[static_cast<std::size_t>(i)] = sum;
-  }
-
-  void operator()(index_t i) const {
-    const ExecutionLayout::Row md = meta[static_cast<std::size_t>(i)];
-    const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
-    const real_t* v = pval + static_cast<std::size_t>(md.val_off);
-    RTL_PREFETCH(v + len);
-    if (md.len_narrow & 1) {
-      row(i, v, idx16 + static_cast<std::size_t>(md.idx_off), md.col_base,
-          len);
-    } else {
-      row(i, v, idx32 + static_cast<std::size_t>(md.idx_off), md.col_base,
-          len);
-    }
-  }
-};
-
-/// Layout flavor of UpperSolveBody: the diagonal is packed first like the
-/// source row, so the divide-last order is unchanged.
-struct UpperSolveLayoutBody {
-  const ExecutionLayout::Row* meta;
-  const real_t* pval;
-  const std::uint16_t* idx16;
-  const index_t* idx32;
-  const real_t* rhs;
-  real_t* x;
-  index_t n;
-
-  template <typename Idx>
-  void row(index_t i, const real_t* v, const Idx* ix, index_t base,
-           std::size_t len) const {
-    real_t sum = rhs[static_cast<std::size_t>(i)];
-    for (std::size_t t = 1; t < len; ++t) {
-      const std::size_t c =
-          static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
-      sum -= v[t] * x[c];
-    }
-    x[static_cast<std::size_t>(i)] = sum / v[0];
-  }
-
-  void operator()(index_t it) const {
-    const ExecutionLayout::Row md = meta[static_cast<std::size_t>(it)];
-    const index_t i = n - 1 - it;
-    const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
-    const real_t* v = pval + static_cast<std::size_t>(md.val_off);
-    RTL_PREFETCH(v + len);
-    if (md.len_narrow & 1) {
-      row(i, v, idx16 + static_cast<std::size_t>(md.idx_off), md.col_base,
-          len);
-    } else {
-      row(i, v, idx32 + static_cast<std::size_t>(md.idx_off), md.col_base,
-          len);
-    }
-  }
-};
-
 // The batched bodies process each row's lanes in fixed-size chunks of
 // double accumulators so the float32-storage path accumulates in double
 // with the *same* unit-stride inner loops as the double path. For
@@ -161,18 +79,14 @@ struct UpperSolveLayoutBody {
 // a register chunk or in x itself.
 inline constexpr std::size_t kLaneChunk = 32;
 
-// One inner lane loop, emitted in a SIMD and a scalar flavor selected by
-// the body's compile-time `Simd` flag. `omp simd` asserts only lane
-// independence (true by construction: lanes are distinct batch columns);
-// it never reassociates within a lane, which is what keeps the SIMD and
-// scalar dispatches bit-for-bit identical for the same storage type.
+// One inner lane loop over a chunk of m lanes. `omp simd` (when compiled
+// in, kernel/simd.hpp) asserts only lane independence — true by
+// construction: lanes are distinct batch columns — and never reassociates
+// within a lane, so each lane keeps the single-RHS body's rounded-op
+// sequence.
 #define RTL_LANE_LOOP(...)                                      \
-  if constexpr (Simd) {                                         \
-    RTL_SIMD_LOOP                                               \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  } else {                                                      \
-    for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }     \
-  }
+  RTL_SIMD_LOOP                                                 \
+  for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }
 
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
@@ -180,7 +94,7 @@ inline constexpr std::size_t kLaneChunk = 32;
 /// the body any sub-range [j0, j1) of the RHS columns, and because each
 /// lane's operation sequence is independent of the other lanes, a
 /// panel-sliced solve stays bit-for-bit identical to the full sweep.
-template <typename T, bool Simd>
+template <typename T>
 struct LowerSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
@@ -213,7 +127,7 @@ struct LowerSolveBatchBody {
   void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
-template <typename T, bool Simd>
+template <typename T>
 struct UpperSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
@@ -243,112 +157,6 @@ struct UpperSolveBatchBody {
         RTL_LANE_LOOP(acc[jj] -= v * static_cast<real_t>(xd[jj]))
       }
       RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
-    }
-  }
-
-  void operator()(index_t it) const { (*this)(it, 0, k); }
-};
-
-/// Batched layout forward substitution: the chunked lane structure of
-/// LowerSolveBatchBody over the packed value stream. The narrow/wide
-/// branch is taken once per row (per panel), outside the entry loop.
-template <typename T, bool Simd>
-struct LowerSolveLayoutBatchBody {
-  const ExecutionLayout::Row* meta;
-  const real_t* pval;
-  const std::uint16_t* idx16;
-  const index_t* idx32;
-  const T* rhs;
-  T* x;
-  index_t k;
-
-  template <typename Idx>
-  void row(index_t i, index_t j0, index_t j1, const real_t* v,
-           const Idx* ix, index_t base, std::size_t len) const {
-    const std::size_t w = static_cast<std::size_t>(k);
-    T* xi = x + static_cast<std::size_t>(i) * w;
-    const T* ri = rhs + static_cast<std::size_t>(i) * w;
-    real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
-      for (std::size_t t = 0; t < len; ++t) {
-        const real_t vv = v[t];
-        const std::size_t cc =
-            static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
-        const T* xd = x + cc * w + c;
-        RTL_LANE_LOOP(acc[jj] -= vv * static_cast<real_t>(xd[jj]))
-      }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj]))
-    }
-  }
-
-  void operator()(index_t i, index_t j0, index_t j1) const {
-    const ExecutionLayout::Row md = meta[static_cast<std::size_t>(i)];
-    const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
-    const real_t* v = pval + static_cast<std::size_t>(md.val_off);
-    RTL_PREFETCH(v + len);
-    if (md.len_narrow & 1) {
-      row(i, j0, j1, v, idx16 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
-    } else {
-      row(i, j0, j1, v, idx32 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
-    }
-  }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
-};
-
-template <typename T, bool Simd>
-struct UpperSolveLayoutBatchBody {
-  const ExecutionLayout::Row* meta;
-  const real_t* pval;
-  const std::uint16_t* idx16;
-  const index_t* idx32;
-  const T* rhs;
-  T* x;
-  index_t n;
-  index_t k;
-
-  template <typename Idx>
-  void row(index_t i, index_t j0, index_t j1, const real_t* v,
-           const Idx* ix, index_t base, std::size_t len) const {
-    const std::size_t w = static_cast<std::size_t>(k);
-    T* xi = x + static_cast<std::size_t>(i) * w;
-    const T* ri = rhs + static_cast<std::size_t>(i) * w;
-    const real_t d = v[0];
-    real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
-      for (std::size_t t = 1; t < len; ++t) {
-        const real_t vv = v[t];
-        const std::size_t cc =
-            static_cast<std::size_t>(base) + static_cast<std::size_t>(ix[t]);
-        const T* xd = x + cc * w + c;
-        RTL_LANE_LOOP(acc[jj] -= vv * static_cast<real_t>(xd[jj]))
-      }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
-    }
-  }
-
-  void operator()(index_t it, index_t j0, index_t j1) const {
-    const ExecutionLayout::Row md = meta[static_cast<std::size_t>(it)];
-    const index_t i = n - 1 - it;
-    const std::size_t len = static_cast<std::size_t>(md.len_narrow >> 1);
-    const real_t* v = pval + static_cast<std::size_t>(md.val_off);
-    RTL_PREFETCH(v + len);
-    if (md.len_narrow & 1) {
-      row(i, j0, j1, v, idx16 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
-    } else {
-      row(i, j0, j1, v, idx32 + static_cast<std::size_t>(md.idx_off),
-          md.col_base, len);
     }
   }
 
@@ -442,19 +250,7 @@ BoundKernel::BoundKernel(std::shared_ptr<const Plan> plan,
       val_(matrix.values().data()),
       n_(matrix.rows()),
       nnz_(matrix.nnz()),
-      kind_(kind),
-      simd_(simd_bind_default()) {
-  // Build the schedule-order packing whenever the layout path is compiled
-  // in — even with the RTL_LAYOUT env override off — so select_layout()
-  // can flip an in-binary A/B pair without rebinding. Whether solves use
-  // it by default is the env-controlled bind default, like SIMD.
-  if (layout_compiled()) {
-    layout_ = std::make_shared<ExecutionLayout>(
-        *plan_, matrix.row_ptr(), matrix.col_idx(), matrix.values(),
-        /*reversed_rows=*/kind_ == KernelKind::kUpperSolve);
-    layout_on_ = layout_bind_default();
-  }
-}
+      kind_(kind) {}
 
 void BoundKernel::solve(ThreadTeam& team, std::span<const real_t> rhs,
                         std::span<real_t> x) {
@@ -462,19 +258,6 @@ void BoundKernel::solve(ThreadTeam& team, std::span<const real_t> rhs,
   assert(static_cast<index_t>(x.size()) == n_);
   // Per-execution state is leased from the plan's pool, so concurrent
   // solves from distinct teams never share synchronization data.
-  if (layout_on_) {
-    const ExecutionLayout& lo = *layout_;
-    if (kind_ == KernelKind::kLowerSolve) {
-      plan_->execute(team,
-                     LowerSolveLayoutBody{lo.rows(), lo.values(), lo.idx16(),
-                                          lo.idx32(), rhs.data(), x.data()});
-    } else {
-      plan_->execute(team, UpperSolveLayoutBody{lo.rows(), lo.values(),
-                                                lo.idx16(), lo.idx32(),
-                                                rhs.data(), x.data(), n_});
-    }
-    return;
-  }
   if (kind_ == KernelKind::kLowerSolve) {
     plan_->execute(team, LowerSolveBody{row_ptr_, col_, val_, rhs.data(),
                                         x.data()});
@@ -491,66 +274,14 @@ void BoundKernel::solve_batch_impl(ThreadTeam& team,
   assert(rhs.rows() == n_ && x.rows() == n_);
   assert(rhs.width() == x.width());
   const index_t k = rhs.width();
-  // The SIMD/scalar and layout/gather bodies are chosen here — bind-time
-  // defaults, overridable through select_simd()/select_layout(); every
-  // flavor is instantiated so the bench's in-binary control pairs compare
-  // real codegen, not a recompile.
-  if (layout_on_) {
-    const ExecutionLayout& lo = *layout_;
-    if (kind_ == KernelKind::kLowerSolve) {
-      if (simd_) {
-        plan_->execute_batch(
-            team, k,
-            LowerSolveLayoutBatchBody<T, true>{lo.rows(), lo.values(),
-                                               lo.idx16(), lo.idx32(),
-                                               rhs.data(), x.data(), k});
-      } else {
-        plan_->execute_batch(
-            team, k,
-            LowerSolveLayoutBatchBody<T, false>{lo.rows(), lo.values(),
-                                                lo.idx16(), lo.idx32(),
-                                                rhs.data(), x.data(), k});
-      }
-    } else {
-      if (simd_) {
-        plan_->execute_batch(
-            team, k,
-            UpperSolveLayoutBatchBody<T, true>{lo.rows(), lo.values(),
-                                               lo.idx16(), lo.idx32(),
-                                               rhs.data(), x.data(), n_, k});
-      } else {
-        plan_->execute_batch(
-            team, k,
-            UpperSolveLayoutBatchBody<T, false>{lo.rows(), lo.values(),
-                                                lo.idx16(), lo.idx32(),
-                                                rhs.data(), x.data(), n_,
-                                                k});
-      }
-    }
-    return;
-  }
   if (kind_ == KernelKind::kLowerSolve) {
-    if (simd_) {
-      plan_->execute_batch(team, k,
-                           LowerSolveBatchBody<T, true>{
-                               row_ptr_, col_, val_, rhs.data(), x.data(), k});
-    } else {
-      plan_->execute_batch(team, k,
-                           LowerSolveBatchBody<T, false>{
-                               row_ptr_, col_, val_, rhs.data(), x.data(), k});
-    }
+    plan_->execute_batch(team, k,
+                         LowerSolveBatchBody<T>{row_ptr_, col_, val_,
+                                                rhs.data(), x.data(), k});
   } else {
-    if (simd_) {
-      plan_->execute_batch(
-          team, k,
-          UpperSolveBatchBody<T, true>{row_ptr_, col_, val_, rhs.data(),
-                                       x.data(), n_, k});
-    } else {
-      plan_->execute_batch(
-          team, k,
-          UpperSolveBatchBody<T, false>{row_ptr_, col_, val_, rhs.data(),
-                                        x.data(), n_, k});
-    }
+    plan_->execute_batch(team, k,
+                         UpperSolveBatchBody<T>{row_ptr_, col_, val_,
+                                                rhs.data(), x.data(), n_, k});
   }
 }
 

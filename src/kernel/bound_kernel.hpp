@@ -5,8 +5,6 @@
 
 #include "core/plan.hpp"
 #include "kernel/batch.hpp"
-#include "kernel/layout.hpp"
-#include "kernel/simd.hpp"
 #include "runtime/thread_team.hpp"
 #include "sparse/csr.hpp"
 
@@ -87,41 +85,6 @@ class BoundKernel {
   /// optimization, not a float factorization.
   void solve(ThreadTeam& team, ConstBatchViewF rhs, BatchViewF x);
 
-  /// Override the bind-time SIMD/scalar dispatch (no-op request to
-  /// enable when the library was compiled scalar). Same-precision
-  /// results are bit-for-bit identical across both dispatches; the
-  /// toggle exists for the in-binary scalar-vs-SIMD control pairs in
-  /// bench_batch and the property pins.
-  void select_simd(bool on) noexcept { simd_ = on && simd_compiled(); }
-  /// Which dispatch batched solves currently run.
-  [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
-
-  /// Override the bind-time layout/gather dispatch (no-op request to
-  /// enable when the library was compiled without layouts). Results are
-  /// bit-for-bit identical across both paths — the layout permutes loads,
-  /// never arithmetic — so the toggle exists for the in-binary
-  /// gather-vs-layout control pairs in bench_batch and the property pins.
-  void select_layout(bool on) noexcept { layout_on_ = on && layout_ != nullptr; }
-  /// Which data path solves currently run.
-  [[nodiscard]] bool layout_enabled() const noexcept { return layout_on_; }
-  /// Bytes of the schedule-order packing (0 when no layout was built).
-  [[nodiscard]] std::size_t layout_bytes() const noexcept {
-    return layout_ ? layout_->bytes() : 0;
-  }
-  /// The layout itself, for slab accounting (null when not built).
-  [[nodiscard]] const ExecutionLayout* layout() const noexcept {
-    return layout_.get();
-  }
-
-  /// Re-gather the layout's packed value copies from the bound CSR after
-  /// the matrix values were rewritten in place (re-factorization over the
-  /// fixed pattern). `IluPreconditioner::factor` calls this through the
-  /// solver's kernels; callers rewriting values directly must do the
-  /// same. No-op on a gather-only kernel.
-  void refresh_layout() noexcept {
-    if (layout_) layout_->refresh_values();
-  }
-
   /// Bytes touched by one batched solve at width k with storage scalar
   /// of `elem_bytes` — the roofline traffic model for bench records:
   /// the CSR structure (row_ptr + cols) and values read once, plus per
@@ -146,22 +109,6 @@ class BoundKernel {
     return plan_;
   }
 
-  /// Plan shape plus this binding's layout bytes: `layout_bytes` is
-  /// filled in and added to `bytes`, so kernel-level footprints (and the
-  /// bench JSON's plan_layout_bytes records) account for the packing.
-  [[nodiscard]] PlanStats stats() const noexcept {
-    PlanStats st = plan_->stats();
-    st.layout_bytes = layout_bytes();
-    st.bytes += st.layout_bytes;
-    return st;
-  }
-
-  /// Bytes of artifact walked per execution: the plan's immutable
-  /// footprint plus the layout packing when one is built.
-  [[nodiscard]] std::size_t memory_footprint() const noexcept {
-    return plan_->memory_footprint() + layout_bytes();
-  }
-
  private:
   BoundKernel(std::shared_ptr<const Plan> plan, const CsrMatrix& matrix,
               KernelKind kind);
@@ -179,14 +126,6 @@ class BoundKernel {
   index_t n_ = 0;
   index_t nnz_ = 0;
   KernelKind kind_;
-  // SIMD/scalar body dispatch, captured from simd_bind_default() at bind.
-  bool simd_ = false;
-  // Schedule-order packing, built at bind whenever the library has the
-  // layout path compiled in (so the in-binary A/B toggle always has both
-  // paths available); shared_ptr keeps the kernel cheaply copyable.
-  // Whether solves *use* it is captured from layout_bind_default().
-  std::shared_ptr<ExecutionLayout> layout_;
-  bool layout_on_ = false;
 };
 
 /// The fused ILU(k) application z <- U^{-1} L^{-1} r as one bound object:
@@ -216,32 +155,9 @@ class IluApplyKernel {
   /// story: the Krylov driver keeps residuals/inner products in double.
   void apply(ThreadTeam& team, ConstBatchViewF r, BatchViewF z);
 
-  /// Forwarded dispatch override for both composed kernels.
-  void select_simd(bool on) noexcept {
-    lower_.select_simd(on);
-    upper_.select_simd(on);
-  }
-  [[nodiscard]] bool simd_enabled() const noexcept {
-    return lower_.simd_enabled();
-  }
-
-  /// Forwarded layout dispatch override for both composed kernels.
-  void select_layout(bool on) noexcept {
-    lower_.select_layout(on);
-    upper_.select_layout(on);
-  }
-  [[nodiscard]] bool layout_enabled() const noexcept {
-    return lower_.layout_enabled();
-  }
-  /// Combined packing bytes of both factors' layouts.
-  [[nodiscard]] std::size_t layout_bytes() const noexcept {
-    return lower_.layout_bytes() + upper_.layout_bytes();
-  }
-  /// Re-gather both layouts' packed values after a re-factorization.
-  void refresh_layout() noexcept {
-    lower_.refresh_layout();
-    upper_.refresh_layout();
-  }
+  /// Always 0: there is no execution layout. Kept only because the
+  /// bench/e2e program still reports it.
+  [[nodiscard]] std::size_t layout_bytes() const noexcept { return 0; }
 
   [[nodiscard]] index_t size() const noexcept { return lower_.size(); }
   [[nodiscard]] BoundKernel& lower() noexcept { return lower_; }

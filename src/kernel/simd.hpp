@@ -1,30 +1,27 @@
 #pragma once
 
-/// SIMD dispatch for the kernel layer.
+/// Vectorized lane loops for the kernel layer.
 ///
 /// The batched kernel bodies (kernel/bound_kernel.cpp, spmv_kernel.cpp)
-/// carry explicitly vectorized inner loops over the k-wide row strips —
-/// the unit-stride sweep the row-major batch layout was designed for.
-/// Vectorization is expressed with `#pragma omp simd`, which needs no
-/// OpenMP *runtime*: the build adds `-fopenmp-simd` (honor the pragma,
-/// link nothing) together with the `RTL_SIMD_ENABLED` define whenever the
-/// `RTL_SIMD` CMake option is ON. Without the define the pragma macro
-/// expands to nothing, so `scripts/check_headers.sh` — which compiles
-/// every header standalone with no project defines — and the
-/// `RTL_SIMD=OFF` CI leg both see plain scalar loops.
+/// sweep each row's k-wide strip as a unit-stride inner loop — the sweep
+/// the row-major batch layout was designed for. Those loops carry
+/// `RTL_SIMD_LOOP`, which expands to `#pragma omp simd` under the
+/// `RTL_SIMD_ENABLED` define. That pragma needs no OpenMP *runtime*: the
+/// build adds `-fopenmp-simd` (honor the pragma, link nothing) together
+/// with the define whenever the compiler accepts the flag, so
+/// vectorization is a property of the compiler, not a run-time choice.
+/// Without the define — a compiler without the flag, or
+/// `scripts/check_headers.sh`, which compiles every header standalone
+/// with no project defines — the macro expands to nothing.
 ///
 /// The pragma asserts lane independence (rhs/x strips of *different*
 /// rows never alias within one body invocation) but never licenses
-/// reassociation *within* a lane: each lane's operation sequence —
-/// initialize from rhs, subtract matrix entries in storage order, divide
-/// by the diagonal last — is identical in the SIMD and scalar bodies, so
-/// the batched-equals-k-singles and pipelined-equals-barrier bit-for-bit
-/// pins hold across both dispatches (see tests/property_test.cpp).
-///
-/// Dispatch is selected *at bind time*: `BoundKernel` / `SpMVKernel`
-/// capture `simd_bind_default()` when bound and expose `select_simd()`
-/// so tests and benches can force either body in-binary (the
-/// scalar-vs-SIMD control pairs in bench_batch).
+/// reassociation *within* a lane: each lane performs the single-RHS
+/// body's operation sequence — initialize from rhs, subtract matrix
+/// entries in storage order, divide by the diagonal last — so the
+/// batched-equals-k-singles and pipelined-equals-barrier bit-for-bit
+/// pins (tests/property_test.cpp) compare the vectorized lanes against
+/// the scalar single-RHS bodies.
 #if defined(RTL_SIMD_ENABLED)
 #define RTL_SIMD_LOOP _Pragma("omp simd")
 #else
@@ -33,8 +30,7 @@
 
 namespace rtl {
 
-/// True when the library was compiled with the vectorized bodies
-/// (`RTL_SIMD=ON` and the compiler honors `-fopenmp-simd`).
+/// True when the library was compiled with `-fopenmp-simd`.
 constexpr bool simd_compiled() noexcept {
 #if defined(RTL_SIMD_ENABLED)
   return true;
@@ -43,10 +39,8 @@ constexpr bool simd_compiled() noexcept {
 #endif
 }
 
-/// The bind-time dispatch default: SIMD bodies when compiled in, unless
-/// the `RTL_SIMD` environment variable is set to `0`, `off`, or `false`
-/// (case-insensitive) — the runtime scalar-fallback override. Read once
-/// on first use; `select_simd()` on a bound kernel overrides per kernel.
-[[nodiscard]] bool simd_bind_default() noexcept;
+/// Always false: there is no execution layout. Kept only because the
+/// bench/e2e program still reports it.
+constexpr bool layout_compiled() noexcept { return false; }
 
 }  // namespace rtl

@@ -1,11 +1,8 @@
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "kernel/batch.hpp"
-#include "kernel/layout.hpp"
-#include "kernel/simd.hpp"
 #include "runtime/thread_team.hpp"
 #include "sparse/csr.hpp"
 
@@ -19,9 +16,9 @@
 /// same as for the solves — structure validation and pointer resolution
 /// happen once at setup instead of on every Krylov iteration, batched
 /// n×k products run through the same row-major `BatchView`s with one
-/// row-read for all k lanes, and the SIMD/scalar and mixed-precision
-/// dispatches hang off the kernel object. With this family the *full*
-/// PCG/GMRES iteration runs through bound kernels (`SpMVKernel` for A,
+/// row-read for all k lanes, and the mixed-precision entry point hangs
+/// off the kernel object. With this family the *full* PCG/GMRES
+/// iteration runs through bound kernels (`SpMVKernel` for A,
 /// `IluApplyKernel` for M^{-1}); no `par_spmv` call remains in
 /// src/solver/.
 namespace rtl {
@@ -52,25 +49,6 @@ class SpMVKernel {
   /// Mixed-precision batched product: float32 storage for x and y,
   /// double accumulation of every row sum (matrix values stay double).
   void apply(ThreadTeam& team, ConstBatchViewF x, BatchViewF y) const;
-
-  /// Override the bind-time SIMD/scalar dispatch (see BoundKernel).
-  void select_simd(bool on) noexcept { simd_ = on && simd_compiled(); }
-  [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
-
-  /// Override the bind-time layout/gather dispatch (see BoundKernel).
-  /// The SpMV layout compresses column indices only — values stream from
-  /// the bound CSR, already in execution order — so in-place value
-  /// rewrites stay visible with no refresh step on this family.
-  void select_layout(bool on) noexcept {
-    layout_on_ = on && layout_ != nullptr;
-  }
-  [[nodiscard]] bool layout_enabled() const noexcept { return layout_on_; }
-  [[nodiscard]] std::size_t layout_bytes() const noexcept {
-    return layout_ ? layout_->bytes() : 0;
-  }
-  [[nodiscard]] const SpmvLayout* layout() const noexcept {
-    return layout_.get();
-  }
 
   [[nodiscard]] index_t rows() const noexcept { return rows_; }
   [[nodiscard]] index_t cols() const noexcept { return cols_; }
@@ -103,10 +81,6 @@ class SpMVKernel {
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t nnz_ = 0;
-  bool simd_ = false;
-  // Per-slab compressed column indices, built at bind when compiled in.
-  std::shared_ptr<SpmvLayout> layout_;
-  bool layout_on_ = false;
 };
 
 }  // namespace rtl

@@ -1,6 +1,7 @@
 #include "service/solve_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "workload/problems.hpp"
@@ -159,9 +160,23 @@ void SolveService::admit(WorkItem item) {
   queue_cv_.notify_one();
 }
 
+void SolveService::require_finite(std::span<const real_t> values,
+                                  const char* what) {
+  // A NaN or ±Inf would come back as a "successful" reply of NaNs, or
+  // factor into a preconditioner that answers with meaningless numbers.
+  if (std::all_of(values.begin(), values.end(),
+                  [](real_t v) { return std::isfinite(v); })) {
+    return;
+  }
+  request_errors_.fetch_add(1, std::memory_order_relaxed);
+  fail(ServiceErrc::kBadRequest,
+       std::string(what) + " holds a non-finite value");
+}
+
 void SolveService::upload_matrix(SessionId session, std::uint32_t matrix_id,
                                  CsrMatrix matrix, int ilu_level,
                                  ControlCallback done) {
+  require_finite(matrix.values(), "matrix");
   WorkItem item;
   item.kind = WorkItem::Kind::kUpload;
   item.session = session;
@@ -189,6 +204,7 @@ void SolveService::open_workload(SessionId session, std::uint32_t matrix_id,
 
 void SolveService::solve(SessionId session, std::uint32_t matrix_id,
                          std::vector<real_t> rhs, SolveCallback done) {
+  require_finite(rhs, "rhs");
   WorkItem item;
   item.kind = WorkItem::Kind::kSolve;
   item.session = session;

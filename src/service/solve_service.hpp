@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +138,7 @@ class SolveService {
   /// Enqueue: build ILU(level) of `matrix`, bind solve kernels, register
   /// under (session, matrix_id). Completes with kBadRequest on a
   /// duplicate id, kUnknownSession on a closed session. Throws
+  /// ServiceError(kBadRequest) if a matrix value is NaN or ±Inf, and
   /// ServiceError(kRejected / kShuttingDown) if not admitted.
   void upload_matrix(SessionId session, std::uint32_t matrix_id,
                      CsrMatrix matrix, int ilu_level, ControlCallback done);
@@ -150,6 +152,7 @@ class SolveService {
   /// Enqueue one right-hand side against a registered matrix; the
   /// aggregator may coalesce it with other requests on the same
   /// factorization. Completes with x = U^-1 L^-1 rhs. Throws
+  /// ServiceError(kBadRequest) if an rhs value is NaN or ±Inf, and
   /// ServiceError(kRejected / kShuttingDown) if not admitted.
   void solve(SessionId session, std::uint32_t matrix_id,
              std::vector<real_t> rhs, SolveCallback done);
@@ -199,6 +202,10 @@ class SolveService {
   std::shared_ptr<FactorEntry> resolve(SessionId session,
                                        std::uint32_t matrix_id);
   void handle_control(WorkItem& item);
+  /// Throws kBadRequest (counted in request_errors) when `values` holds a
+  /// NaN or ±Inf. Runs on the submitting thread, so such a request never
+  /// takes a queue slot or solver-thread time.
+  void require_finite(std::span<const real_t> values, const char* what);
   std::shared_ptr<FactorEntry> build_entry(LinearSystem system, int level);
 
   ServiceConfig config_;

@@ -44,10 +44,6 @@ void IluPreconditioner::init_workspaces(int team_size) {
 
 void IluPreconditioner::factor(ThreadTeam& team, const CsrMatrix& a) {
   factor_plan_->execute(team, FactorRowBody{&ilu_, &a, workspaces_.data()});
-  // The factorization rewrote L/U values in place; the solve kernels'
-  // execution layouts hold packed *copies* of those values, so re-gather
-  // them before the next apply (no-op on a gather-only build).
-  solver_->kernel().refresh_layout();
 }
 
 void IluPreconditioner::apply(ThreadTeam& team, std::span<const real_t> r,

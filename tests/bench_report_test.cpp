@@ -121,7 +121,6 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   st.waits = 37;
   st.wait_bytes = 700;
   st.bytes = 4096;
-  st.layout_bytes = 512;
   rep.add_plan_stats("P1", st);
   Runtime::CacheCounters cc;
   cc.hits = 7;
@@ -141,8 +140,6 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   EXPECT_NE(json.find("\"metric\": \"plan_avg_wavefront\""),
             std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"plan_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"metric\": \"plan_layout_bytes\""),
-            std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"plan_waits\""), std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"plan_wait_bytes\""),
             std::string::npos);
@@ -158,9 +155,9 @@ TEST(ReporterTest, PlanStatsAndCacheCountersLandInTheRecords) {
   EXPECT_NE(json.find("\"metric\": \"disk_rejects\""), std::string::npos);
   // Derived units must stay non-gating: nothing here may carry "ms".
   for (const auto& r : rep.records()) EXPECT_NE(r.unit, "ms");
-  // 7 plan records (phases, max/avg wavefront, bytes, waits, wait bytes,
-  // layout bytes) + 8 cache counters.
-  ASSERT_EQ(rep.records().size(), 15u);
+  // 6 plan records (phases, max/avg wavefront, bytes, waits, wait bytes)
+  // + 8 cache counters.
+  ASSERT_EQ(rep.records().size(), 14u);
 }
 
 TEST(ReporterTest, SkippedDriverStillProducesADocument) {

@@ -258,7 +258,7 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
                                  f.ilu.lower());
     auto uk = BoundKernel::upper(upper_plan_for(team, f.ilu, opts),
                                  f.ilu.upper());
-    for (const index_t k : {1, 3, 8}) {
+    for (const index_t k : {1, 3, 8, 40}) {  // 40: two lane chunks
       BatchBuffer rhs(n, k), got(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(f.system.rhs);
@@ -320,41 +320,6 @@ TEST_P(KernelSolveTest, IluApplyKernelMatchesSequentialLUSolve) {
     apply.apply(team, colr, got);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(z.view().at(i, j), got[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-TEST_P(KernelSolveTest, SimdAndScalarDispatchesAgreeBitForBit) {
-  // The bind-time SIMD/scalar dispatch must be invisible in the results:
-  // `omp simd` asserts lane independence but never reassociates within a
-  // lane, so both flavors perform the identical rounded-op sequence.
-  ThreadTeam team(GetParam());
-  Factored f;
-  const index_t n = f.ilu.size();
-  IluApplyKernel apply(
-      BoundKernel::lower(lower_plan_for(team, f.ilu), f.ilu.lower()),
-      BoundKernel::upper(upper_plan_for(team, f.ilu), f.ilu.upper()));
-
-  const index_t k = 16;
-  BatchBuffer r(n, k), z_scalar(n, k), z_simd(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> col(f.system.rhs);
-    for (index_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] *=
-          1.0 + 0.0625 * static_cast<real_t>((i + j) % 11);
-    }
-    r.set_column(j, col);
-  }
-  apply.select_simd(false);
-  EXPECT_FALSE(apply.simd_enabled());
-  apply.apply(team, r.view(), z_scalar.view());
-  apply.select_simd(true);
-  EXPECT_EQ(apply.simd_enabled(), simd_compiled());
-  apply.apply(team, r.view(), z_simd.view());
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(z_simd.view().at(i, j), z_scalar.view().at(i, j))
-          << "col=" << j << " row=" << i;
     }
   }
 }
@@ -460,120 +425,6 @@ TEST_P(KernelSolveTest, RefactorizationIsVisibleThroughBoundKernels) {
     EXPECT_EQ(z2[static_cast<std::size_t>(i)],
               z1[static_cast<std::size_t>(i)] / 2.0);
   }
-}
-
-TEST_P(KernelSolveTest, LayoutDispatchMatchesGatherAndReportsBytes) {
-  // The bind-time execution layout is a pure data-movement change: the
-  // packed path must reproduce the gather path bit-for-bit (single and
-  // batched, lower and upper, f64 and f32), its packing bytes must show
-  // up in stats()/memory_footprint(), and the IluApplyKernel forwarding
-  // must drive both composed kernels. Under RTL_LAYOUT=OFF builds
-  // select_layout is a no-op and everything reports zero bytes.
-  ThreadTeam team(GetParam());
-  Factored f;
-  const index_t n = f.ilu.size();
-  auto lk = BoundKernel::lower(lower_plan_for(team, f.ilu), f.ilu.lower());
-
-  EXPECT_EQ(lk.layout_enabled(), layout_bind_default());
-  lk.select_layout(true);
-  EXPECT_EQ(lk.layout_enabled(), layout_compiled());
-  lk.select_layout(false);
-  EXPECT_FALSE(lk.layout_enabled());
-  if (layout_compiled()) {
-    ASSERT_NE(lk.layout(), nullptr);
-    EXPECT_GT(lk.layout_bytes(), 0u);
-    EXPECT_GT(lk.layout()->num_slabs(), 0);
-  } else {
-    EXPECT_EQ(lk.layout(), nullptr);
-    EXPECT_EQ(lk.layout_bytes(), 0u);
-  }
-  // Footprint accounting: kernel stats = plan stats + packing bytes.
-  const PlanStats bare = lk.plan().stats();
-  const PlanStats with_layout = lk.stats();
-  EXPECT_EQ(with_layout.layout_bytes, lk.layout_bytes());
-  EXPECT_EQ(with_layout.bytes, bare.bytes + lk.layout_bytes());
-  EXPECT_EQ(lk.memory_footprint(),
-            lk.plan().memory_footprint() + lk.layout_bytes());
-
-  IluApplyKernel apply(
-      std::move(lk),
-      BoundKernel::upper(upper_plan_for(team, f.ilu), f.ilu.upper()));
-  EXPECT_EQ(apply.layout_bytes(),
-            apply.lower().layout_bytes() + apply.upper().layout_bytes());
-
-  // Single-RHS: gather vs layout, through the fused L+U apply.
-  std::vector<real_t> z_gather(static_cast<std::size_t>(n));
-  std::vector<real_t> z_layout(static_cast<std::size_t>(n));
-  apply.select_layout(false);
-  EXPECT_FALSE(apply.layout_enabled());
-  apply.apply(team, f.system.rhs, z_gather);
-  apply.select_layout(true);
-  EXPECT_EQ(apply.layout_enabled(), layout_compiled());
-  EXPECT_EQ(apply.lower().layout_enabled(), apply.upper().layout_enabled());
-  apply.apply(team, f.system.rhs, z_layout);
-  EXPECT_EQ(z_layout, z_gather);
-
-  // Batched f64 and f32: the layout composes with the lane dispatch and
-  // the storage scalar — identical per-lane op order, identical bits.
-  const index_t k = 8;
-  BatchBuffer r(n, k), z_g(n, k), z_l(n, k);
-  BatchBufferF rf(n, k), zf_g(n, k), zf_l(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> col(f.system.rhs);
-    for (auto& v : col) v *= 1.0 + 0.5 * static_cast<real_t>(j);
-    r.set_column(j, col);
-    std::vector<float> colf(col.size());
-    for (std::size_t i = 0; i < col.size(); ++i) {
-      colf[i] = static_cast<float>(col[i]);
-    }
-    rf.set_column(j, colf);
-  }
-  apply.select_layout(false);
-  apply.apply(team, r.view(), z_g.view());
-  apply.apply(team, rf.view(), zf_g.view());
-  apply.select_layout(true);
-  apply.apply(team, r.view(), z_l.view());
-  apply.apply(team, rf.view(), zf_l.view());
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(z_l.view().at(i, j), z_g.view().at(i, j))
-          << "f64 col=" << j << " row=" << i;
-      ASSERT_EQ(zf_l.view().at(i, j), zf_g.view().at(i, j))
-          << "f32 col=" << j << " row=" << i;
-    }
-  }
-}
-
-TEST_P(KernelSolveTest, RefreshLayoutPicksUpInPlaceValueRewrites) {
-  // The layout packs value COPIES in schedule order, so an in-place
-  // re-factorization (the documented value-mutability contract) must be
-  // followed by refresh_layout() — IluPreconditioner::factor() does this
-  // — after which the packed path matches a gather solve of the new
-  // values exactly.
-  ThreadTeam team(GetParam());
-  Factored f;
-  const index_t n = f.ilu.size();
-  auto kernel =
-      BoundKernel::lower(lower_plan_for(team, f.ilu), f.ilu.lower());
-
-  // Rewrite the bound values in place (same structure), as factor() does.
-  CsrMatrix scaled = f.system.a;
-  for (auto& v : scaled.values()) v *= 2.0;
-  f.ilu.factor(scaled);
-  kernel.refresh_layout();
-
-  std::vector<real_t> y_gather(static_cast<std::size_t>(n));
-  std::vector<real_t> y_layout(static_cast<std::size_t>(n));
-  kernel.select_layout(false);
-  kernel.solve(team, f.system.rhs, y_gather);
-  kernel.select_layout(true);
-  kernel.solve(team, f.system.rhs, y_layout);
-  EXPECT_EQ(y_layout, y_gather);
-
-  // And the gather result itself reflects the refactorization.
-  std::vector<real_t> expected(static_cast<std::size_t>(n));
-  solve_lower_unit(f.ilu.lower(), f.system.rhs, expected);
-  EXPECT_EQ(y_gather, expected);
 }
 
 TEST(KernelConcurrency, TwoTeamsSolveThroughOneKernelSimultaneously) {

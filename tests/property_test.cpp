@@ -17,6 +17,7 @@
 #include "kernel/batch.hpp"
 #include "kernel/bound_kernel.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/triangular.hpp"
 #include "test_rng.hpp"
 #include "workload/synthetic.hpp"
 
@@ -435,49 +436,85 @@ CsrMatrix lower_matrix_from_dag(const DependenceGraph& g,
 
 TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   // The acceptance property of the kernel layer: a batched solve with k
-  // right-hand sides equals k sequential single-RHS solves bit-for-bit,
-  // for every scheduling policy and processor count 1..8.
+  // right-hand sides equals k single-RHS solves bit-for-bit, and every
+  // single solve equals the sequential Figure 8 loop (sparse/triangular),
+  // under every executor (pipelined with a panel of 3, ragged at k = 4
+  // and 16), the three scheduling policies, every processor count 1..8
+  // and k in {1, 4, 16}. The batched bodies run their lanes under
+  // `omp simd` and the single-RHS bodies are scalar, so this is also the
+  // SIMD pin: one differing bit means a lane loop reordered arithmetic
+  // or an executor ran a row before its dependences.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
   const auto g = random_dag(param.n, param.max_deg, seed);
   const CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
   const index_t n = g.size();
-  const index_t k = 4;
+  const auto nz = static_cast<std::size_t>(n);
+  constexpr index_t kMaxWidth = 16;
 
-  BatchBuffer rhs(n, k);
+  // kMaxWidth right-hand sides and their sequential solutions; a width-k
+  // batch holds the first k of them.
   std::mt19937_64 rng(seed ^ 0xfeed);
   std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> colv(static_cast<std::size_t>(n));
-    for (auto& v : colv) v = dist(rng);
-    rhs.set_column(j, colv);
+  std::vector<std::vector<real_t>> cols(kMaxWidth, std::vector<real_t>(nz));
+  std::vector<std::vector<real_t>> refs(kMaxWidth, std::vector<real_t>(nz));
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    for (auto& v : cols[j]) v = dist(rng);
+    solve_lower_unit(lower, cols[j], refs[j]);
   }
 
+  const struct {
+    ExecutionPolicy exec;
+    SchedulingPolicy sched;
+  } configs[] = {
+      {ExecutionPolicy::kSelfExecuting, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kSelfExecuting, SchedulingPolicy::kLocalWrapped},
+      {ExecutionPolicy::kSelfExecuting, SchedulingPolicy::kLocalBlock},
+      {ExecutionPolicy::kPreScheduled, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kDoAcross, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kSelfScheduled, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kWindowed, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kPipelined, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kPointToPoint, SchedulingPolicy::kGlobal},
+  };
   for (int nproc = 1; nproc <= 8; ++nproc) {
     ThreadTeam team(nproc);
-    for (const auto sched :
-         {SchedulingPolicy::kGlobal, SchedulingPolicy::kLocalWrapped,
-          SchedulingPolicy::kLocalBlock}) {
+    for (const auto& cfg : configs) {
       DoconsiderOptions opts;
-      opts.scheduling = sched;
-      opts.execution = ExecutionPolicy::kSelfExecuting;
-      auto plan = std::make_shared<const Plan>(team, DependenceGraph(g),
-                                               opts);
-      auto kernel = BoundKernel::lower(std::move(plan), lower);
+      opts.execution = cfg.exec;
+      opts.scheduling = cfg.sched;
+      if (cfg.exec == ExecutionPolicy::kPipelined) opts.panel = 3;
+      auto kernel = BoundKernel::lower(
+          std::make_shared<const Plan>(team, DependenceGraph(g), opts),
+          lower);
 
-      BatchBuffer got(n, k);
-      kernel.solve(team, rhs.view(), got.view());
-
-      std::vector<real_t> colr(static_cast<std::size_t>(n));
-      std::vector<real_t> colx(static_cast<std::size_t>(n));
-      for (index_t j = 0; j < k; ++j) {
-        rhs.get_column(j, colr);
-        kernel.solve(team, colr, colx);
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got.view().at(i, j), colx[static_cast<std::size_t>(i)])
-              << "sched=" << static_cast<int>(sched) << " nproc=" << nproc
-              << " col=" << j << " row=" << i;
+      std::vector<real_t> single(nz);
+      for (std::size_t j = 0; j < cols.size(); ++j) {
+        kernel.solve(team, cols[j], single);
+        for (std::size_t i = 0; i < nz; ++i) {
+          ASSERT_EQ(single[i], refs[j][i])
+              << "single exec=" << static_cast<int>(cfg.exec)
+              << " sched=" << static_cast<int>(cfg.sched)
+              << " nproc=" << nproc << " col=" << j << " row=" << i;
+        }
+      }
+      for (const index_t k : {1, 4, 16}) {
+        BatchBuffer rhs(n, k), got(n, k);
+        for (index_t j = 0; j < k; ++j) {
+          rhs.set_column(j, cols[static_cast<std::size_t>(j)]);
+        }
+        kernel.solve(team, rhs.view(), got.view());
+        for (index_t j = 0; j < k; ++j) {
+          for (index_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got.view().at(i, j),
+                      refs[static_cast<std::size_t>(j)]
+                          [static_cast<std::size_t>(i)])
+                << "exec=" << static_cast<int>(cfg.exec)
+                << " sched=" << static_cast<int>(cfg.sched)
+                << " nproc=" << nproc << " k=" << k << " col=" << j
+                << " row=" << i;
+          }
         }
       }
     }
@@ -528,125 +565,6 @@ TEST_P(DagPropertyTest, PipelinedBatchedSolveIsBitForBitBarrierSolve) {
           ASSERT_EQ(got_pipe.view().at(i, j), got_barrier.view().at(i, j))
               << "nproc=" << nproc << " k=" << k << " col=" << j
               << " row=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(DagPropertyTest, SimdBatchedSolveIsBitForBitScalarEverywhere) {
-  // The acceptance property of the SIMD dispatch: for random DAGs, every
-  // executor (including pipelined with a ragged panel), and k in
-  // {1, 4, 16}, the vectorized batched solve equals the scalar one
-  // bit-for-bit. `omp simd` only asserts cross-lane independence — the
-  // rounded-op sequence within each lane is identical — so a single
-  // differing bit means a kernel body reordered arithmetic.
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  const CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
-  const index_t n = g.size();
-
-  std::mt19937_64 rng(seed ^ 0x51d);
-  std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  ThreadTeam team(param.nproc);
-  for (const auto exec :
-       {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kPipelined, ExecutionPolicy::kPointToPoint}) {
-    DoconsiderOptions opts;
-    opts.execution = exec;
-    if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;
-    auto kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), opts), lower);
-    for (const index_t k : {1, 4, 16}) {
-      BatchBuffer rhs(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        std::vector<real_t> colv(static_cast<std::size_t>(n));
-        for (auto& v : colv) v = dist(rng);
-        rhs.set_column(j, colv);
-      }
-      BatchBuffer got_scalar(n, k), got_simd(n, k);
-      kernel.select_simd(false);
-      kernel.solve(team, rhs.view(), got_scalar.view());
-      kernel.select_simd(true);
-      kernel.solve(team, rhs.view(), got_simd.view());
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got_simd.view().at(i, j), got_scalar.view().at(i, j))
-              << "exec=" << static_cast<int>(exec) << " k=" << k
-              << " col=" << j << " row=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(DagPropertyTest, LayoutBatchedSolveIsBitForBitGatherEverywhere) {
-  // The acceptance property of the bind-time execution layout: for random
-  // DAGs, EVERY executor policy (including pipelined with a ragged
-  // panel), every processor count 1..8 and k in {1, 4, 16}, the
-  // schedule-order packed path (select_layout(true)) equals the CSR
-  // gather path bit-for-bit, on the batched views and on the single-RHS
-  // vector path. The layout permutes loads only — per-lane arithmetic
-  // order is untouched — so a single differing bit means the packing
-  // mis-mapped a row or an index decode went wrong. Under RTL_LAYOUT=OFF
-  // builds select_layout is a no-op and the property holds trivially.
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  const CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
-  const index_t n = g.size();
-
-  std::mt19937_64 rng(seed ^ 0x1a07);
-  std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  for (int nproc = 1; nproc <= 8; ++nproc) {
-    ThreadTeam team(nproc);
-    for (const auto exec :
-         {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-          ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
-          ExecutionPolicy::kPointToPoint}) {
-      DoconsiderOptions opts;
-      opts.execution = exec;
-      if (exec == ExecutionPolicy::kPipelined) opts.panel = 3;
-      auto kernel = BoundKernel::lower(
-          std::make_shared<const Plan>(team, DependenceGraph(g), opts),
-          lower);
-
-      std::vector<real_t> vrhs(static_cast<std::size_t>(n));
-      for (auto& v : vrhs) v = dist(rng);
-      std::vector<real_t> got_gather(vrhs.size()), got_layout(vrhs.size());
-      kernel.select_layout(false);
-      kernel.solve(team, vrhs, got_gather);
-      kernel.select_layout(true);
-      kernel.solve(team, vrhs, got_layout);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got_layout[static_cast<std::size_t>(i)],
-                  got_gather[static_cast<std::size_t>(i)])
-            << "single-rhs exec=" << static_cast<int>(exec)
-            << " nproc=" << nproc << " row=" << i;
-      }
-
-      for (const index_t k : {1, 4, 16}) {
-        BatchBuffer rhs(n, k);
-        for (index_t j = 0; j < k; ++j) {
-          std::vector<real_t> colv(static_cast<std::size_t>(n));
-          for (auto& v : colv) v = dist(rng);
-          rhs.set_column(j, colv);
-        }
-        BatchBuffer bgather(n, k), blayout(n, k);
-        kernel.select_layout(false);
-        kernel.solve(team, rhs.view(), bgather.view());
-        kernel.select_layout(true);
-        kernel.solve(team, rhs.view(), blayout.view());
-        for (index_t j = 0; j < k; ++j) {
-          for (index_t i = 0; i < n; ++i) {
-            ASSERT_EQ(blayout.view().at(i, j), bgather.view().at(i, j))
-                << "exec=" << static_cast<int>(exec) << " nproc=" << nproc
-                << " k=" << k << " col=" << j << " row=" << i;
-          }
         }
       }
     }

@@ -25,6 +25,7 @@
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 #include "runtime/work_deque.hpp"
+#include "sparse/triangular.hpp"
 
 namespace rtl {
 namespace {
@@ -608,7 +609,7 @@ TEST(RuntimeDiskCache, ConcurrentRuntimesSharingOneDirectoryStaySane) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache ↔ execution-layout lifetime
+// Plan cache ↔ bound-kernel lifetime
 // ---------------------------------------------------------------------------
 
 /// Unit-lower CSR over `g`'s dependence edges with deterministic values —
@@ -628,22 +629,22 @@ CsrMatrix lower_for_dag(const DependenceGraph& g) {
           std::move(val)};
 }
 
-TEST(RuntimeCacheLayoutLifetime, EvictedPlansKeepLiveKernelLayoutsValid) {
-  // A BoundKernel builds its execution layout from the plan's schedule at
-  // bind time and co-owns the plan. LRU eviction (capacity 1 here) drops
-  // only the cache's reference: a live kernel's layout must stay valid
-  // and keep solving — any dangle is a use-after-free the ASan job turns
-  // into a hard failure.
+TEST(RuntimeCacheKernelLifetime, EvictedPlansKeepLiveKernelsSolving) {
+  // A BoundKernel co-owns its plan. LRU eviction (capacity 1 here) drops
+  // only the cache's reference: a live kernel must keep solving with the
+  // same bits — any dangle is a use-after-free the ASan job turns into a
+  // hard failure.
   Runtime rt(2, /*plan_cache_capacity=*/1, /*cache_dir=*/"");
   const auto g = test_dag();
   const CsrMatrix lower = lower_for_dag(g);
   auto kernel = BoundKernel::lower(rt.plan_for(test_dag()), lower);
-  kernel.select_layout(true);
-  const std::size_t packed = kernel.layout_bytes();
 
   std::vector<real_t> rhs(static_cast<std::size_t>(g.size()), 1.0);
   std::vector<real_t> before(rhs.size());
   kernel.solve(rt.team(), rhs, before);
+  std::vector<real_t> expected(rhs.size());
+  solve_lower_unit(lower, rhs, expected);
+  EXPECT_EQ(before, expected);
 
   // Churn the capacity-1 LRU with two other structures: the kernel's
   // plan is evicted (and the second insert evicts the first).
@@ -654,35 +655,35 @@ TEST(RuntimeCacheLayoutLifetime, EvictedPlansKeepLiveKernelLayoutsValid) {
   std::vector<real_t> after(rhs.size());
   kernel.solve(rt.team(), rhs, after);
   EXPECT_EQ(after, before);
-  EXPECT_EQ(kernel.layout_bytes(), packed);
-
-  // The gather dispatch of the same kernel agrees — the packing did not
-  // rot while unreferenced by the cache.
-  kernel.select_layout(false);
-  std::vector<real_t> gather(rhs.size());
-  kernel.solve(rt.team(), rhs, gather);
-  EXPECT_EQ(gather, before);
 }
 
-TEST(RuntimeCacheLayoutLifetime, DiskReloadedPlanRebuildsIdenticalLayout) {
+TEST(RuntimeCacheKernelLifetime, DiskReloadedPlanKernelSolvesBitForBit) {
   // Warm start: a second Runtime serves the plan from the disk tier with
-  // zero inspector runs, and a kernel bound to the RELOADED plan rebuilds
-  // its layout from the loaded schedule alone — same packing bytes (a
-  // deterministic function of schedule + structure), same solve bits as
-  // the original process's layout kernel.
-  const std::string dir = fresh_cache_dir("layout_reload");
+  // zero inspector runs, and a kernel bound to the RELOADED plan solves
+  // bit-for-bit like the original process's kernel, single-RHS and
+  // batched.
+  const std::string dir = fresh_cache_dir("kernel_reload");
   const auto g = test_dag();
   const CsrMatrix lower = lower_for_dag(g);
-  std::vector<real_t> rhs(static_cast<std::size_t>(g.size()), 1.0);
+  const index_t n = g.size();
+  const index_t k = 4;
+  std::vector<real_t> rhs(static_cast<std::size_t>(n), 1.0);
+  BatchBuffer brhs(n, k);
+  for (index_t j = 0; j < k; ++j) {
+    std::vector<real_t> col(rhs.size());
+    for (std::size_t i = 0; i < col.size(); ++i) {
+      col[i] = 1.0 + 0.25 * static_cast<real_t>((i + 3 * (j + 1)) % 5);
+    }
+    brhs.set_column(j, col);
+  }
 
-  std::size_t packed = 0;
   std::vector<real_t> first(rhs.size());
+  BatchBuffer bfirst(n, k);
   {
     Runtime rt(2, 8, dir);
     auto kernel = BoundKernel::lower(rt.plan_for(test_dag()), lower);
-    kernel.select_layout(true);
-    packed = kernel.layout_bytes();
     kernel.solve(rt.team(), rhs, first);
+    kernel.solve(rt.team(), brhs.view(), bfirst.view());
     EXPECT_EQ(rt.plan_cache_counters().misses, 1u);
   }
 
@@ -691,11 +692,17 @@ TEST(RuntimeCacheLayoutLifetime, DiskReloadedPlanRebuildsIdenticalLayout) {
   EXPECT_EQ(rt2.plan_cache_counters().misses, 0u)
       << "disk hit must skip the inspector";
   EXPECT_EQ(rt2.plan_cache_counters().disk_hits, 1u);
-  kernel2.select_layout(true);
-  EXPECT_EQ(kernel2.layout_bytes(), packed);
   std::vector<real_t> second(rhs.size());
+  BatchBuffer bsecond(n, k);
   kernel2.solve(rt2.team(), rhs, second);
+  kernel2.solve(rt2.team(), brhs.view(), bsecond.view());
   EXPECT_EQ(second, first);
+  for (index_t j = 0; j < k; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bsecond.view().at(i, j), bfirst.view().at(i, j))
+          << "col=" << j << " row=" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <future>
+#include <limits>
 
 #include "core/plan_io.hpp"
 #include "service/client.hpp"
@@ -119,6 +120,18 @@ void expect_errc(ServiceErrc code, Fn&& fn) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), code) << e.what();
   }
+}
+
+/// expect_errc for a future the service's solver thread completes. The
+/// shared_future keeps the shared state alive until the exception has been
+/// inspected: future::get() drops it before the catch, and the solver
+/// thread's later release of the last reference then frees the exception
+/// through libstdc++'s uninstrumented reference count, which TSan reports
+/// as a race with the inspection.
+template <class T>
+void expect_future_errc(ServiceErrc code, std::future<T>& f) {
+  const std::shared_future<T> held = f.share();
+  expect_errc(code, [&] { (void)held.get(); });
 }
 
 std::vector<unsigned char> sample_frame() {
@@ -313,6 +326,18 @@ std::vector<std::vector<real_t>> reference_solves(
   return out;
 }
 
+/// `a` with `value` stored as row 0's diagonal entry.
+CsrMatrix with_row0_diagonal(CsrMatrix a, real_t value) {
+  const auto cols = a.row_cols(0);
+  for (std::size_t t = 0; t < cols.size(); ++t) {
+    if (cols[t] == 0) a.values()[t] = value;
+  }
+  return a;
+}
+
+constexpr real_t kNaN = std::numeric_limits<real_t>::quiet_NaN();
+constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+
 std::vector<real_t> make_rhs(index_t n, int j) {
   std::vector<real_t> rhs(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
@@ -424,13 +449,9 @@ TEST(SolveServiceTest, SingularUploadIsBadRequestAndSolverThreadSurvives) {
   SolveService service(config);
   const auto session = service.open_session();
   const LinearSystem system = five_point(6, 6);
-  CsrMatrix singular = system.a;
-  const auto cols = singular.row_cols(0);
-  for (std::size_t t = 0; t < cols.size(); ++t) {
-    if (cols[t] == 0) singular.values()[t] = 0.0;
-  }
-  auto rejected = service.upload_matrix(session, 1, singular, 0);
-  expect_errc(ServiceErrc::kBadRequest, [&] { rejected.get(); });
+  auto rejected = service.upload_matrix(
+      session, 1, with_row0_diagonal(system.a, 0.0), 0);
+  expect_future_errc(ServiceErrc::kBadRequest, rejected);
 
   service.upload_matrix(session, 2, system.a, 0).get();
   const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
@@ -452,7 +473,7 @@ TEST(SolveServiceTest, OversizedParametricWorkloadsAreBadRequestsAndSessionSurvi
   for (const char* name : {"5pt:50000", "9pt:1000009", "7pt:2000", "5pt:2049",
                            "9pt:1549", "7pt:146"}) {
     auto rejected = service.open_workload(session, id++, name, 0);
-    expect_errc(ServiceErrc::kBadRequest, [&] { rejected.get(); });
+    expect_future_errc(ServiceErrc::kBadRequest, rejected);
   }
 
   service.open_workload(session, id, "5pt", 0).get();
@@ -460,6 +481,59 @@ TEST(SolveServiceTest, OversizedParametricWorkloadsAreBadRequestsAndSessionSurvi
   const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
   EXPECT_EQ(service.solve(session, id, rhs).get(),
             reference_solves(system, 0, {rhs})[0]);
+}
+
+TEST(SolveServiceTest, NonFiniteInputsAreBadRequestsAndSessionSurvives) {
+  // A NaN or ±Inf right-hand side must not come back as a "successful"
+  // reply of NaNs, nor an upload with +Inf on a diagonal (or a NaN
+  // anywhere) factor into a preconditioner that answers with meaningless
+  // numbers. Each is refused with kBadRequest when submitted, before it
+  // takes a queue slot; the finite requests around it still coalesce
+  // into one batch and solve bit-for-bit, and the session keeps working.
+  SolveService service(test_config());
+  const auto session = service.open_session();
+  auto ready = service.open_workload(session, 1, "5pt:16", 0);
+  ASSERT_EQ(service.drain_once(), 1u);
+  ready.get();
+  const LinearSystem system = service_workload("5pt:16");
+  const index_t n = system.a.rows();
+  const std::vector<std::vector<real_t>> good{make_rhs(n, 0), make_rhs(n, 1)};
+  const auto reference = reference_solves(system, 0, good);
+
+  std::vector<real_t> nan_rhs = make_rhs(n, 2);
+  nan_rhs[7] = kNaN;
+  std::vector<real_t> inf_rhs = make_rhs(n, 3);
+  inf_rhs.back() = -kInf;
+  auto ok0 = service.solve(session, 1, good[0]);
+  expect_errc(ServiceErrc::kBadRequest,
+              [&] { (void)service.solve(session, 1, nan_rhs); });
+  auto ok1 = service.solve(session, 1, good[1]);
+  expect_errc(ServiceErrc::kBadRequest,
+              [&] { (void)service.solve(session, 1, inf_rhs); });
+  EXPECT_EQ(service.drain_once(), 2u);
+  EXPECT_EQ(ok0.get(), reference[0]);
+  EXPECT_EQ(ok1.get(), reference[1]);
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.batches, 1u);
+  EXPECT_EQ(m.batch_width_hist[batch_width_bucket(2)], 1u);
+
+  CsrMatrix nan_entry = system.a;
+  nan_entry.values()[1] = kNaN;
+  expect_errc(ServiceErrc::kBadRequest, [&] {
+    (void)service.upload_matrix(session, 2,
+                                with_row0_diagonal(system.a, kInf), 0);
+  });
+  expect_errc(ServiceErrc::kBadRequest, [&] {
+    (void)service.upload_matrix(session, 3, nan_entry, 0);
+  });
+
+  // A refused upload registers nothing; the session still solves.
+  auto unregistered = service.solve(session, 2, good[0]);
+  auto after = service.solve(session, 1, good[0]);
+  EXPECT_EQ(service.drain_once(), 2u);
+  expect_errc(ServiceErrc::kUnknownMatrix, [&] { unregistered.get(); });
+  EXPECT_EQ(after.get(), reference[0]);
+  EXPECT_EQ(service.metrics().request_errors, 5u);
 }
 
 // --- service core: sessions, admission, shutdown ---------------------------
@@ -588,6 +662,48 @@ TEST(ServiceTransportTest, ServerAndClientExchangeOverLoopback) {
 
   server.stop();
   EXPECT_EQ(service.metrics().sessions_closed, 1u);
+}
+
+TEST(ServiceTransportTest, NonFiniteInputsGetTypedErrorRepliesAndSessionSurvives) {
+  // The same non-finite rejections over the socket: a NaN rhs and an
+  // upload with +Inf on row 0's diagonal come back as typed kBadRequest
+  // replies, a pipelined burst fails only its NaN request, and the
+  // connection's session then uploads and solves normally.
+  ServiceConfig config = test_config();
+  config.manual_drain = false;
+  SolveService service(config);
+  const std::string path =
+      testing::TempDir() + "/rtl_service_nonfinite_" +
+      std::to_string(::getpid()) + ".sock";
+  ServiceServer server(service, path);
+
+  ServiceClient client(path);
+  client.open_workload(1, "5pt:16", 0);
+  const LinearSystem system = service_workload("5pt:16");
+  const index_t n = system.a.rows();
+  std::vector<std::vector<real_t>> rhs{make_rhs(n, 0), make_rhs(n, 1),
+                                       make_rhs(n, 2)};
+  rhs[1][0] = kNaN;
+  const auto reference = reference_solves(system, 0, {rhs[0], rhs[2]});
+
+  expect_errc(ServiceErrc::kBadRequest, [&] { (void)client.solve(1, rhs[1]); });
+  EXPECT_EQ(client.solve(1, rhs[0]), reference[0]);
+
+  const auto outcomes = client.solve_pipelined(1, rhs);
+  ASSERT_EQ(outcomes.size(), 3u);
+  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error_message;
+  EXPECT_EQ(outcomes[0].x, reference[0]);
+  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[1].error, ServiceErrc::kBadRequest);
+  ASSERT_TRUE(outcomes[2].ok) << outcomes[2].error_message;
+  EXPECT_EQ(outcomes[2].x, reference[1]);
+
+  expect_errc(ServiceErrc::kBadRequest, [&] {
+    client.upload_matrix(2, with_row0_diagonal(system.a, kInf), 0);
+  });
+  client.upload_matrix(3, system.a, 0);
+  EXPECT_EQ(client.solve(3, rhs[0]), reference[0]);
+  server.stop();
 }
 
 TEST(ServiceTransportTest, MalformedFrameGetsTypedErrorReply) {

@@ -1,9 +1,9 @@
 // Tests for the SpMV kernel family: bind-once pointer resolution pinned
 // bit-for-bit to the free-function `par_spmv` and the sequential
-// `CsrMatrix::spmv`, batched applies pinned to k single applies, the
-// SIMD/scalar dispatch equality, and the float-storage mixed-precision
-// path against its documented error model (double accumulation means the
-// only float rounding is the final store: |y_f - y_d| <= u_f * |y_d|).
+// `CsrMatrix::spmv`, batched (vectorized-lane) applies pinned to k scalar
+// single applies, and the float-storage mixed-precision path against its
+// documented error model (double accumulation means the only float
+// rounding is the final store: |y_f - y_d| <= u_f * |y_d|).
 
 #include <gtest/gtest.h>
 
@@ -52,13 +52,20 @@ TEST_P(SpMVKernelTest, SingleApplyMatchesParSpmvAndSequentialBitForBit) {
 }
 
 TEST_P(SpMVKernelTest, BatchedApplyIsBitForBitKSingleApplies) {
+  // The batched lanes run under `omp simd`, the single apply is a scalar
+  // row sum: same per-lane accumulation order, so identical bits. The
+  // second round rewrites the bound values in place (a re-factorization
+  // stand-in): the kernel reads values straight from the CSR, so both
+  // paths must see the new values with no rebind.
   ThreadTeam team(GetParam());
-  const auto sys = five_point(13, 19);
+  auto sys = five_point(13, 19);
   const auto n = sys.a.rows();
-  auto kernel = SpMVKernel::bind(sys.a);
-  for (const bool simd : {false, true}) {
-    kernel.select_simd(simd);
-    for (const index_t k : {1, 3, 8}) {
+  const auto kernel = SpMVKernel::bind(sys.a);
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      for (auto& v : sys.a.values()) v *= -1.5;
+    }
+    for (const index_t k : {1, 3, 8, 40}) {  // 40: two lane chunks
       BatchBuffer x(n, k), y(n, k);
       for (index_t j = 0; j < k; ++j) {
         x.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
@@ -66,105 +73,19 @@ TEST_P(SpMVKernelTest, BatchedApplyIsBitForBitKSingleApplies) {
       kernel.apply(team, x.view(), y.view());
       std::vector<real_t> colx(static_cast<std::size_t>(n));
       std::vector<real_t> coly(static_cast<std::size_t>(n));
+      std::vector<real_t> seq(static_cast<std::size_t>(n));
       for (index_t j = 0; j < k; ++j) {
         x.get_column(j, colx);
         kernel.apply(team, colx, coly);
+        sys.a.spmv(colx, seq);
+        EXPECT_EQ(coly, seq) << "round=" << round << " k=" << k;
         for (index_t i = 0; i < n; ++i) {
           ASSERT_EQ(y.view().at(i, j), coly[static_cast<std::size_t>(i)])
-              << "simd=" << simd << " k=" << k << " col=" << j
+              << "round=" << round << " k=" << k << " col=" << j
               << " row=" << i;
         }
       }
     }
-  }
-}
-
-TEST_P(SpMVKernelTest, SimdDispatchIsBitForBitScalar) {
-  ThreadTeam team(GetParam());
-  const auto sys = five_point(23, 23);
-  const index_t n = sys.a.rows();
-  const index_t k = 16;
-  auto kernel = SpMVKernel::bind(sys.a);
-
-  BatchBuffer x(n, k), y_scalar(n, k), y_simd(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    x.set_column(j, ramp(n, 0.5 + 0.25 * static_cast<real_t>(j)));
-  }
-  kernel.select_simd(false);
-  EXPECT_FALSE(kernel.simd_enabled());
-  kernel.apply(team, x.view(), y_scalar.view());
-  kernel.select_simd(true);
-  EXPECT_EQ(kernel.simd_enabled(), simd_compiled());
-  kernel.apply(team, x.view(), y_simd.view());
-  // `omp simd` asserts lane independence; it never reassociates within a
-  // lane, so the two dispatches round identically.
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_EQ(y_simd.view().at(i, j), y_scalar.view().at(i, j))
-          << "col=" << j << " row=" << i;
-    }
-  }
-}
-
-TEST_P(SpMVKernelTest, LayoutDispatchIsBitForBitGatherAndValuesNeverStale) {
-  // The SpMV layout compresses column indices per 256-row slab (and
-  // prefetches) but reads values straight from the bound CSR, so:
-  // (a) layout vs gather is bit-for-bit for every width and both lane
-  // dispatches, and (b) in-place value rewrites are visible through the
-  // layout path with NO refresh call — unlike the solve kernels' packed
-  // value copies. Under RTL_LAYOUT=OFF builds select_layout is a no-op.
-  ThreadTeam team(GetParam());
-  auto sys = five_point(21, 18);  // 378 rows: spans two index slabs
-  const index_t n = sys.a.rows();
-  auto kernel = SpMVKernel::bind(sys.a);
-
-  EXPECT_EQ(kernel.layout_enabled(), layout_bind_default());
-  kernel.select_layout(true);
-  EXPECT_EQ(kernel.layout_enabled(), layout_compiled());
-  if (layout_compiled()) {
-    ASSERT_NE(kernel.layout(), nullptr);
-    EXPECT_GT(kernel.layout_bytes(), 0u);
-  } else {
-    EXPECT_EQ(kernel.layout_bytes(), 0u);
-  }
-
-  for (int round = 0; round < 2; ++round) {
-    if (round == 1) {
-      // Re-factorization stand-in: rewrite the bound values in place.
-      for (auto& v : sys.a.values()) v *= -1.5;
-    }
-    // Single-vector path.
-    const auto x = ramp(n, 2.0);
-    std::vector<real_t> y_gather(static_cast<std::size_t>(n));
-    std::vector<real_t> y_layout(y_gather.size());
-    kernel.select_layout(false);
-    kernel.apply(team, x, y_gather);
-    kernel.select_layout(true);
-    kernel.apply(team, x, y_layout);
-    EXPECT_EQ(y_layout, y_gather) << "round=" << round;
-
-    // Batched, both lane dispatches.
-    for (const bool simd : {false, true}) {
-      kernel.select_simd(simd);
-      for (const index_t k : {1, 3, 8}) {
-        BatchBuffer bx(n, k), by_gather(n, k), by_layout(n, k);
-        for (index_t j = 0; j < k; ++j) {
-          bx.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
-        }
-        kernel.select_layout(false);
-        kernel.apply(team, bx.view(), by_gather.view());
-        kernel.select_layout(true);
-        kernel.apply(team, bx.view(), by_layout.view());
-        for (index_t j = 0; j < k; ++j) {
-          for (index_t i = 0; i < n; ++i) {
-            ASSERT_EQ(by_layout.view().at(i, j), by_gather.view().at(i, j))
-                << "round=" << round << " simd=" << simd << " k=" << k
-                << " col=" << j << " row=" << i;
-          }
-        }
-      }
-    }
-    kernel.select_simd(true);
   }
 }
 
