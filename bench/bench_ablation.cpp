@@ -2,10 +2,10 @@
 //  A. partition shape for local scheduling (wrapped vs block),
 //  B. inspector parallelization (sequential vs striped busy-wait sweep),
 //  C. ILU fill level (preconditioner quality vs triangular-solve shape),
-//  D. schedule indirection (doacross vs reordered self-executing loop).
-// Every executor run goes through `Plan::execute` — the executor shape
-// (including the self-scheduled and windowed extensions) is selected by
-// `DoconsiderOptions` alone.
+//  D. schedule indirection (doacross vs reordered self-executing loop),
+//  E. the self-executing loop next to the global schedule deal.
+// Every executor run goes through `Plan::execute` — the executor shape is
+// selected by `DoconsiderOptions` alone.
 
 #include <cstdio>
 
@@ -112,64 +112,27 @@ int main() {
   }
   report.add_plan_cache(rt.plan_cache_counters());
 
-  // --- E: static vs dynamic self-scheduling + the global deal ------------
+  // --- E: self-executing loop + the global deal ------------------------
   // (The parallel counting sort that used to back global_schedule_parallel
   // now lives inside compute_wavefronts_parallel, timed in section B; the
   // deal over the precomputed wavefront order is what remains here.)
   std::printf(
-      "\nE. Extensions: fetch-and-add self-scheduling and the global\n"
-      "   schedule deal (%d procs)\n",
+      "\nE. Self-executing loop and the global schedule deal (%d procs)\n",
       p);
-  std::printf("%-8s %12s %12s | %12s %12s\n", "Problem", "static(ms)",
-              "dynamic(ms)", "globsched", "plan (KiB)");
+  std::printf("%-8s %12s | %12s %12s\n", "Problem", "static(ms)",
+              "globsched", "plan (KiB)");
   for (const auto& c : table23_cases()) {
     const Plan static_plan(team, DependenceGraph(c.graph), self_opts);
-    DoconsiderOptions dyn_opts;
-    dyn_opts.execution = ExecutionPolicy::kSelfScheduled;
-    const Plan dyn_plan(team, DependenceGraph(c.graph), dyn_opts);
     const Stats t_static = time_lower(team, c, static_plan, reps);
-    const Stats t_dynamic = time_lower(team, c, dyn_plan, reps);
 
     const Stats t_sched = measure_ms(
         reps, [&] { (void)global_schedule(c.wavefronts, p); });
-    std::printf("%-8s %12.3f %12.3f | %12.3f %12.1f\n", c.name.c_str(),
-                t_static.min, t_dynamic.min, t_sched.min,
+    std::printf("%-8s %12.3f | %12.3f %12.1f\n", c.name.c_str(),
+                t_static.min, t_sched.min,
                 static_cast<double>(static_plan.memory_footprint()) / 1024.0);
     report.add(c.name, "self_static_ms", t_static);
-    report.add(c.name, "self_dynamic_ms", t_dynamic);
     report.add(c.name, "global_schedule_ms", t_sched);
     report.add_plan_stats(c.name, static_plan.stats());
-  }
-
-  // --- F: windowed hybrid executor ---------------------------------------
-  std::printf(
-      "\nF. Windowed hybrid: barrier every W wavefronts, flags inside\n"
-      "   (W=1 ~ pre-scheduled + flags, W=inf ~ self-executing)\n");
-  std::printf("%-8s", "Problem");
-  const index_t windows[] = {1, 2, 4, 16, 1 << 30};
-  for (const index_t w : windows) {
-    if (w > (1 << 20)) {
-      std::printf(" %9s", "inf");
-    } else {
-      std::printf(" %8d ", w);
-    }
-  }
-  std::printf("\n");
-  for (const auto& c : table23_cases()) {
-    std::printf("%-8s", c.name.c_str());
-    for (const index_t w : windows) {
-      DoconsiderOptions win_opts;
-      win_opts.execution = ExecutionPolicy::kWindowed;
-      win_opts.window = w;
-      const Plan win_plan(team, DependenceGraph(c.graph), win_opts);
-      const Stats win = time_lower(team, c, win_plan, reps);
-      std::printf(" %9.2f", win.min);
-      const std::string metric =
-          (w > (1 << 20)) ? std::string("windowed_winf_ms")
-                          : "windowed_w" + std::to_string(w) + "_ms";
-      report.add(c.name, metric, win);
-    }
-    std::printf("\n");
   }
 
   // --- D: doacross vs reordered self-executing ---------------------------

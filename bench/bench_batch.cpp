@@ -16,14 +16,13 @@
 // kernel, which is exactly what batching improves. (RTL_AMP is recorded
 // in the JSON config but unused here.)
 //
-// The driver also races the barrier (pre-scheduled) scheduler against the
-// pipelined work-stealing one on the same batches, pinned bit-for-bit,
-// and emits the team's synchronization-event counters per path:
-// `flag_publishes` and `barrier_waits` are deterministic (unit "count",
-// exact-match gated by scripts/compare_bench.py), `steals` depends on the
-// interleaving (unit "events", informational). On hosts too noisy for
-// wall-clock deltas the counters are the accepted evidence that the
-// pipelined path takes zero per-phase barriers (docs/PERF.md).
+// It also times the barrier (pre-scheduled) executor on the same
+// batches, pinned bit-for-bit to the default executor, and emits its
+// synchronization-event counters: `flag_publishes` and `barrier_waits`
+// are deterministic (unit "count", exact-match gated by
+// scripts/compare_bench.py), so on hosts too noisy for wall-clock deltas
+// they are the accepted evidence of one barrier per phase regardless of
+// the batch width (docs/PERF.md).
 //
 // The SpMV kernel family gets its own `spmv_k*` sweep, verified
 // bit-for-bit against k single applies; the float32-storage apply
@@ -279,18 +278,14 @@ int main() {
     }
     std::printf("\n");
 
-    // Barrier vs pipelined scheduler on the same batches. Same kernel
-    // bodies, same columns; the pipelined result is pinned bit-for-bit to
-    // the barrier result, and the per-path synchronization counters are
-    // emitted alongside the timings.
+    // The pre-scheduled (barrier) executor on the same batches, pinned
+    // bit-for-bit to the default executor's batched result, with its
+    // synchronization counters emitted alongside the timings.
     DoconsiderOptions barrier_opts;
     barrier_opts.execution = ExecutionPolicy::kPreScheduled;
-    DoconsiderOptions pipe_opts;
-    pipe_opts.execution = ExecutionPolicy::kPipelined;
     ParallelTriangularSolver barrier_solver(rt, c.ilu, barrier_opts);
-    ParallelTriangularSolver pipe_solver(rt, c.ilu, pipe_opts);
     for (const index_t k : widths) {
-      BatchBuffer brhs(n, k), bx_bar(n, k), bx_pipe(n, k);
+      BatchBuffer brhs(n, k), bx_bar(n, k), bx_def(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(rhs);
         for (auto& v : col) v *= 1.0 + 0.25 * static_cast<real_t>(j);
@@ -299,60 +294,34 @@ int main() {
       const Stats bar_ms = measure_ms(reps, [&] {
         barrier_solver.solve(team, brhs.view(), bx_bar.view());
       });
-      const Stats pipe_ms = measure_ms(reps, [&] {
-        pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      });
+      solver.solve(team, brhs.view(), bx_def.view());
       for (index_t j = 0; j < k; ++j) {
         for (index_t i = 0; i < n; ++i) {
-          if (bx_bar.view().at(i, j) != bx_pipe.view().at(i, j)) {
+          if (bx_bar.view().at(i, j) != bx_def.view().at(i, j)) {
             std::fprintf(stderr,
-                         "%s: pipelined k=%d diverged from barrier path\n",
+                         "%s: pre-scheduled k=%d diverged from the default "
+                         "executor\n",
                          c.name.c_str(), k);
             return 1;
           }
         }
       }
-      // One clean solve per path with zeroed counters: the timed reps
-      // above already polluted the team's totals.
+      // One clean solve with zeroed counters: the timed reps above
+      // already polluted the team's totals.
       team.reset_exec_counters();
       barrier_solver.solve(team, brhs.view(), bx_bar.view());
       const ExecCounters bar_c = team.exec_counters();
-      team.reset_exec_counters();
-      pipe_solver.solve(team, brhs.view(), bx_pipe.view());
-      const ExecCounters pipe_c = team.exec_counters();
-      if (pipe_c.barrier_waits != 0) {
-        std::fprintf(stderr,
-                     "%s: pipelined k=%d took %llu per-phase barrier "
-                     "waits (must be 0)\n",
-                     c.name.c_str(), k,
-                     static_cast<unsigned long long>(pipe_c.barrier_waits));
-        return 1;
-      }
       const std::string bk = "barrier_k" + std::to_string(k);
-      const std::string pk = "pipe_k" + std::to_string(k);
       report.add(c.name, bk + "_solve_ms", bar_ms);
       report.add_scalar(c.name, bk + "_ms_per_rhs",
                         bar_ms.mean / static_cast<double>(k), "ms-derived");
-      report.add(c.name, pk + "_solve_ms", pipe_ms);
-      report.add_scalar(c.name, pk + "_ms_per_rhs",
-                        pipe_ms.mean / static_cast<double>(k), "ms-derived");
       report.add_scalar(c.name, bk + "_flag_publishes",
                         static_cast<double>(bar_c.flag_publishes), "count");
       report.add_scalar(c.name, bk + "_barrier_waits",
                         static_cast<double>(bar_c.barrier_waits), "count");
-      report.add_scalar(c.name, pk + "_flag_publishes",
-                        static_cast<double>(pipe_c.flag_publishes), "count");
-      report.add_scalar(c.name, pk + "_barrier_waits",
-                        static_cast<double>(pipe_c.barrier_waits), "count");
-      report.add_scalar(c.name, pk + "_steals",
-                        static_cast<double>(pipe_c.steals), "events");
-      std::printf(
-          "%-8s k=%-2d barrier %9.4f ms (%llu waits) | pipelined %9.4f "
-          "ms (%llu pubs, %llu steals)\n",
-          c.name.c_str(), k, bar_ms.min,
-          static_cast<unsigned long long>(bar_c.barrier_waits), pipe_ms.min,
-          static_cast<unsigned long long>(pipe_c.flag_publishes),
-          static_cast<unsigned long long>(pipe_c.steals));
+      std::printf("%-8s k=%-2d barrier %9.4f ms (%llu waits)\n",
+                  c.name.c_str(), k, bar_ms.min,
+                  static_cast<unsigned long long>(bar_c.barrier_waits));
     }
 
     // The second kernel family: batched SpMV through the bound kernel,

@@ -34,8 +34,9 @@ void BM_BarrierEpisode(benchmark::State& state) {
   constexpr int kEpisodesPerIter = 64;
   for (auto _ : state) {
     team.run([&](int) {
-      BarrierToken bar(team.barrier());
-      for (int k = 0; k < kEpisodesPerIter; ++k) bar.wait();
+      for (int k = 0; k < kEpisodesPerIter; ++k) {
+        team.barrier().arrive_and_wait();
+      }
     });
   }
   state.SetItemsProcessed(state.iterations() * kEpisodesPerIter);

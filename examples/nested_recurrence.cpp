@@ -75,12 +75,12 @@ int main() {
 
   std::printf("%-28s %10s %8s\n", "executor", "time (ms)", "result");
 
-  // Every executor shape — including the dynamically self-scheduled
-  // extension, where threads claim sorted-list entries via fetch-and-add —
-  // is one ExecutionPolicy away through the same plan.execute entry point.
+  // Every executor shape — the paper's three and the point-to-point
+  // default — is one ExecutionPolicy away through the same plan.execute
+  // entry point.
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled}) {
+        ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     DependenceGraph copy = g;
@@ -95,7 +95,7 @@ int main() {
                                  ? "self-executing (global)"
                                  : exec == ExecutionPolicy::kDoAcross
                                        ? "doacross"
-                                       : "self-scheduled (dynamic)";
+                                       : "point-to-point (default)";
     std::printf("%-28s %10.2f %8s\n", name, ms, check());
   }
   return 0;

@@ -2,8 +2,7 @@
 // their own system.
 //
 //   solver_cli [--matrix FILE.mtx | --problem NAME] [--procs P]
-//              [--exec p2p|self|pre|doacross|selfsched|windowed|pipelined]
-//              [--window W] [--sched global|local]
+//              [--exec p2p|self|pre|doacross] [--sched global|local]
 //              [--level K] [--rtol R] [--maxit N] [--rhs K]
 //              [--reorder none|rcm|wavefront]
 //              [--save-plan F] [--load-plan F]
@@ -52,8 +51,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--matrix FILE.mtx | --problem NAME] [--procs P]\n"
-      "          [--exec p2p|self|pre|doacross|selfsched|windowed|pipelined]\n"
-      "          [--window W] [--panel W] [--sched global|local]\n"
+      "          [--exec p2p|self|pre|doacross] [--sched global|local]\n"
       "          [--level K] [--rtol R] [--maxit N] [--rhs K]\n"
       "          [--reorder none|rcm|wavefront]\n"
       "          [--save-plan F] [--load-plan F]\n"
@@ -133,21 +131,9 @@ int main(int argc, char** argv) {
         opts.execution = ExecutionPolicy::kPreScheduled;
       } else if (v == "doacross") {
         opts.execution = ExecutionPolicy::kDoAcross;
-      } else if (v == "selfsched") {
-        opts.execution = ExecutionPolicy::kSelfScheduled;
-      } else if (v == "windowed") {
-        opts.execution = ExecutionPolicy::kWindowed;
-      } else if (v == "pipelined") {
-        opts.execution = ExecutionPolicy::kPipelined;
       } else {
         return usage(argv[0]);
       }
-    } else if (arg == "--window") {
-      opts.window = std::atoi(next());
-      if (opts.window < 1) return usage(argv[0]);
-    } else if (arg == "--panel") {
-      opts.panel = std::atoi(next());
-      if (opts.panel < 1) return usage(argv[0]);
     } else if (arg == "--reorder") {
       reorder = next();
       if (reorder != "none" && reorder != "rcm" && reorder != "wavefront") {

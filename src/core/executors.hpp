@@ -20,8 +20,6 @@
 ///    "a doacross loop that executes loop iterations in a modified order";
 ///  * doacross (§5.1.2 baseline): the self-executing mechanism over the
 ///    *original* index order;
-///  * self-scheduled / windowed: the fetch-and-add and bounded-skew
-///    extensions (§3; Nicol & Saltz [13]);
 ///  * point-to-point (the default): the pre-scheduled slab walk with each
 ///    barrier replaced by acquire-waits on the progress counters of only
 ///    the processors a slab actually depends on (Park, Smelyanskiy,
@@ -41,28 +39,16 @@ enum class SchedulingPolicy {
   kLocalBlock,
 };
 
-/// How dependences are enforced during execution (§2.2 + extensions).
+/// How dependences are enforced during execution (§2.2 + point-to-point).
+/// The values are the plan file's stored codes (core/plan_io.hpp); 3-5
+/// belonged to executors that no longer exist and are refused on load.
 enum class ExecutionPolicy {
   /// Global synchronization between wavefronts (Figure 5).
-  kPreScheduled,
+  kPreScheduled = 0,
   /// Busy-waits on a shared ready array (Figure 4).
-  kSelfExecuting,
+  kSelfExecuting = 1,
   /// Original iteration order + ready array (the baseline of §5.1.2).
-  kDoAcross,
-  /// Threads claim wavefront-sorted indices from a shared fetch-and-add
-  /// cursor (extension; cf. the self-scheduling schemes discussed in §3).
-  kSelfScheduled,
-  /// Global barrier every `DoconsiderOptions::window` wavefronts, ready
-  /// flags inside each window (extension; cf. Nicol & Saltz [13]).
-  kWindowed,
-  /// Barrier-free pipelined executor (the §5 fuzzy-barrier idea taken to
-  /// its limit): work is decomposed into (row, RHS-panel) tasks whose
-  /// readiness is tracked by per-task pending-dependence counters — the
-  /// batch-aware generalization of the Figure 4 ready array — and tasks
-  /// are claimed from per-worker work-stealing deques, so different
-  /// right-hand-side panels occupy different wavefronts simultaneously
-  /// and no phase barrier is ever taken.
-  kPipelined,
+  kDoAcross = 2,
   /// Point-to-point synchronization (the default): each processor walks
   /// its (processor, phase) slabs like the pre-scheduled loop, but instead
   /// of a barrier it acquire-waits only on the per-processor progress
@@ -70,7 +56,7 @@ enum class ExecutionPolicy {
   /// and publishes its own progress with one release store per slab.
   /// Under kGlobal the wavefronts are dealt in contiguous chunks so most
   /// dependences stay on the producing processor.
-  kPointToPoint,
+  kPointToPoint = 6,
 };
 
 /// Plan options.
@@ -80,15 +66,6 @@ struct DoconsiderOptions {
   /// Run the inspector's wavefront sweep in parallel on the team (§2.3).
   /// Does not change the produced artifact, only how fast it is built.
   bool parallel_inspector = false;
-  /// kWindowed only: number of wavefronts between global barriers (>= 1).
-  index_t window = 4;
-  /// kPipelined only: right-hand-side columns per pipelined panel (>= 1).
-  /// A batched execution of width k is decomposed into ceil(k / panel)
-  /// independent column panels that flow through the dependence DAG
-  /// concurrently; k = 1 (and any non-panel-aware body) always runs as a
-  /// single panel. Smaller panels pipeline more aggressively but multiply
-  /// the pending-counter working set.
-  index_t panel = 4;
   /// kPreScheduled / kSelfExecuting only: run the §5.1.2 rotating
   /// instrumented variant — every processor executes all schedules, so the
   /// run is perfectly load balanced, does P times the work, keeps all
@@ -104,26 +81,14 @@ struct DoconsiderOptions {
 /// canonical value, so equivalent requests compare (and cache-key) equal.
 [[nodiscard]] constexpr DoconsiderOptions normalized_options(
     DoconsiderOptions o) noexcept {
-  if (o.execution == ExecutionPolicy::kWindowed) {
-    if (o.window < 1) o.window = 1;
-  } else {
-    o.window = 0;
-  }
-  if (o.execution == ExecutionPolicy::kPipelined) {
-    if (o.panel < 1) o.panel = 1;
-  } else {
-    o.panel = 0;
-  }
   if (o.execution != ExecutionPolicy::kPreScheduled &&
       o.execution != ExecutionPolicy::kSelfExecuting) {
     o.instrumented = false;
   }
-  // kDoAcross runs the original index order and kSelfScheduled consumes
-  // only the wavefront-sorted list, so the scheduling policy cannot
-  // influence execution; canonicalize it so equivalent requests share one
-  // cache entry.
-  if (o.execution == ExecutionPolicy::kDoAcross ||
-      o.execution == ExecutionPolicy::kSelfScheduled) {
+  // kDoAcross runs the original index order, so the scheduling policy
+  // cannot influence execution; canonicalize it so equivalent requests
+  // share one cache entry.
+  if (o.execution == ExecutionPolicy::kDoAcross) {
     o.scheduling = SchedulingPolicy::kGlobal;
   }
   return o;
@@ -140,31 +105,6 @@ inline void invoke_body(Body& body, int tid, index_t i) {
     body(tid, i);
   } else {
     body(i);
-  }
-}
-
-/// Whether a loop body understands column panels — i.e. accepts a
-/// half-open RHS-column range `[j0, j1)` after the iteration index. Only
-/// panel-aware bodies can be decomposed across panels by the pipelined
-/// executor; any other body is run as one full-width panel.
-template <class Body>
-inline constexpr bool is_panel_body_v =
-    std::is_invocable_v<Body&, int, index_t, index_t, index_t> ||
-    std::is_invocable_v<Body&, index_t, index_t, index_t>;
-
-/// Invoke a body for iteration `i` restricted to RHS columns `[j0, j1)`.
-/// Falls back to the full-sweep `invoke_body` form for bodies without a
-/// panel overload (the caller must then use a single panel).
-template <class Body>
-inline void invoke_panel_body(Body& body, int tid, index_t i, index_t j0,
-                              index_t j1) {
-  if constexpr (std::is_invocable_v<Body&, int, index_t, index_t, index_t>) {
-    body(tid, i, j0, j1);
-  } else if constexpr (std::is_invocable_v<Body&, index_t, index_t,
-                                           index_t>) {
-    body(i, j0, j1);
-  } else {
-    invoke_body(body, tid, i);
   }
 }
 

@@ -35,8 +35,8 @@
 ///   48      u64   num_phases (== num_waves for every inspector-built plan)
 ///   56      u32   SchedulingPolicy
 ///   60      u32   ExecutionPolicy
-///   64      u64   DoconsiderOptions::window  (normalized)
-///   72      u64   DoconsiderOptions::panel   (normalized)
+///   64      u64   0 (retired window field; non-zero is refused)
+///   72      u64   0 (retired panel field; non-zero is refused)
 ///   80      u8    DoconsiderOptions::instrumented
 ///   81      u8    DoconsiderOptions::parallel_inspector
 ///   -- arrays, back to back (i32 each) --
@@ -58,11 +58,10 @@
 /// wavefronts) are verified before a `Plan` is materialized, and every
 /// violation throws a typed `PlanIoError` — never a crash, hang, or a
 /// malformed plan. A loaded plan is indistinguishable from a freshly
-/// inspected one, including under `ExecutionPolicy::kPipelined` (the
-/// successor adjacency is rebuilt from the dependence CSR at load time)
-/// and `ExecutionPolicy::kPointToPoint` (the wait lists are re-derived
-/// from the loaded schedule, so the byte format carries no wait data and
-/// any schedule that passes validation executes correctly).
+/// inspected one, including under `ExecutionPolicy::kPointToPoint` (the
+/// wait lists are re-derived from the loaded schedule, so the byte format
+/// carries no wait data and any schedule that passes validation executes
+/// correctly).
 namespace rtl {
 
 class Plan;
@@ -132,7 +131,9 @@ void save_plan_file(const Plan& plan, const std::string& path);
 
 /// Canonical file name of a cached plan inside a plan-cache directory:
 /// deterministic across processes and hosts, keyed by exactly the fields
-/// of the `rtl::Runtime` cache key plus the processor count.
+/// of the `rtl::Runtime` cache key plus the processor count. The constant
+/// `-w0-c0` stands for the retired window/panel fields, so existing cache
+/// directories still hit.
 [[nodiscard]] std::string plan_cache_file_name(
     std::uint64_t fingerprint, index_t n, index_t edges, int nproc,
     const DoconsiderOptions& normalized);

@@ -156,8 +156,6 @@ class Runtime {
     index_t edges;
     SchedulingPolicy scheduling;
     ExecutionPolicy execution;
-    index_t window;
-    index_t panel;
     bool instrumented;
 
     bool operator==(const PlanKey&) const = default;

@@ -90,10 +90,7 @@ inline constexpr std::size_t kLaneChunk = 32;
 
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
-/// all k right-hand sides. Panel-aware: the pipelined executor may hand
-/// the body any sub-range [j0, j1) of the RHS columns, and because each
-/// lane's operation sequence is independent of the other lanes, a
-/// panel-sliced solve stays bit-for-bit identical to the full sweep.
+/// all k right-hand sides.
 template <typename T>
 struct LowerSolveBatchBody {
   const index_t* row_ptr;
@@ -103,17 +100,15 @@ struct LowerSolveBatchBody {
   T* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
     const std::size_t w = static_cast<std::size_t>(k);
     T* xi = x + static_cast<std::size_t>(i) * w;
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
       RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
       for (std::size_t t = b; t < e; ++t) {
         const real_t v = val[t];
@@ -123,8 +118,6 @@ struct LowerSolveBatchBody {
       RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj]))
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
 template <typename T>
@@ -137,7 +130,7 @@ struct UpperSolveBatchBody {
   index_t n;
   index_t k;
 
-  void operator()(index_t it, index_t j0, index_t j1) const {
+  void operator()(index_t it) const {
     const index_t i = n - 1 - it;
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
@@ -146,10 +139,8 @@ struct UpperSolveBatchBody {
     const T* ri = rhs + static_cast<std::size_t>(i) * w;
     const real_t d = val[b];
     real_t acc[kLaneChunk];
-    for (std::size_t c = static_cast<std::size_t>(j0);
-         c < static_cast<std::size_t>(j1); c += kLaneChunk) {
-      const std::size_t m =
-          std::min(kLaneChunk, static_cast<std::size_t>(j1) - c);
+    for (std::size_t c = 0; c < w; c += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, w - c);
       RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
       for (std::size_t t = b + 1; t < e; ++t) {
         const real_t v = val[t];
@@ -159,8 +150,6 @@ struct UpperSolveBatchBody {
       RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
     }
   }
-
-  void operator()(index_t it) const { (*this)(it, 0, k); }
 };
 
 #undef RTL_LANE_LOOP
@@ -275,12 +264,10 @@ void BoundKernel::solve_batch_impl(ThreadTeam& team,
   assert(rhs.width() == x.width());
   const index_t k = rhs.width();
   if (kind_ == KernelKind::kLowerSolve) {
-    plan_->execute_batch(team, k,
-                         LowerSolveBatchBody<T>{row_ptr_, col_, val_,
+    plan_->execute(team, LowerSolveBatchBody<T>{row_ptr_, col_, val_,
                                                 rhs.data(), x.data(), k});
   } else {
-    plan_->execute_batch(team, k,
-                         UpperSolveBatchBody<T>{row_ptr_, col_, val_,
+    plan_->execute(team, UpperSolveBatchBody<T>{row_ptr_, col_, val_,
                                                 rhs.data(), x.data(), n_, k});
   }
 }

@@ -19,9 +19,8 @@
 /// reassociation *within* a lane: each lane performs the single-RHS
 /// body's operation sequence — initialize from rhs, subtract matrix
 /// entries in storage order, divide by the diagonal last — so the
-/// batched-equals-k-singles and pipelined-equals-barrier bit-for-bit
-/// pins (tests/property_test.cpp) compare the vectorized lanes against
-/// the scalar single-RHS bodies.
+/// batched-equals-k-singles bit-for-bit pins (tests/property_test.cpp)
+/// compare the vectorized lanes against the scalar single-RHS bodies.
 #if defined(RTL_SIMD_ENABLED)
 #define RTL_SIMD_LOOP _Pragma("omp simd")
 #else

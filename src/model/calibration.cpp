@@ -8,8 +8,7 @@ namespace rtl {
 double measure_barrier_ms(ThreadTeam& team, int count) {
   WallTimer t;
   team.run([&](int) {
-    BarrierToken bar(team.barrier());
-    for (int k = 0; k < count; ++k) bar.wait();
+    for (int k = 0; k < count; ++k) team.barrier().arrive_and_wait();
   });
   return t.elapsed_ms();
 }

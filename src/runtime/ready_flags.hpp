@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "runtime/spin_wait.hpp"
+#include "runtime/thread_team.hpp"
 #include "runtime/types.hpp"
 
 /// The shared `ready` array of the self-executing executor.
@@ -52,11 +53,19 @@ class ReadyFlags {
   }
 
   /// Busy-wait until index `i` has been published (Figure 4, line 3a).
-  void wait(index_t i) const noexcept {
+  /// False when a member of `team`'s current region threw: the producer
+  /// may never publish. The abort flag is read only once a first load
+  /// found the flag clear, so a satisfied wait costs one load.
+  [[nodiscard]] bool wait(index_t i, const ThreadTeam& team) const noexcept {
     assert(i >= 0 && i < size());
     const auto& flag = flags_[static_cast<std::size_t>(i)];
+    if (flag.load(std::memory_order_acquire) != 0) return true;
     SpinWait backoff;
-    while (flag.load(std::memory_order_acquire) == 0) backoff.wait_once();
+    do {
+      if (team.region_aborted()) return false;
+      backoff.wait_once();
+    } while (flag.load(std::memory_order_acquire) == 0);
+    return true;
   }
 
  private:

@@ -23,7 +23,7 @@ bool ThreadTeam::oversubscription_warned() noexcept {
 }
 
 ThreadTeam::ThreadTeam(int num_threads)
-    : num_threads_(num_threads), barrier_(num_threads) {
+    : num_threads_(num_threads), barrier_(num_threads, &abort_) {
   assert(num_threads >= 1);
   // Oversubscription works (workers spin briefly, then block), but the
   // busy-wait synchronization paths serialize through the OS scheduler and
@@ -39,10 +39,6 @@ ThreadTeam::ThreadTeam(int num_threads)
                  "and parallel timings are not meaningful (see docs/PERF.md)"
                  "\n",
                  num_threads, hw);
-  }
-  deques_.reserve(static_cast<std::size_t>(num_threads));
-  for (int tid = 0; tid < num_threads; ++tid) {
-    deques_.emplace_back(std::make_unique<WorkStealingDeque>());
   }
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
   for (int tid = 1; tid < num_threads; ++tid) {
@@ -87,6 +83,9 @@ void ThreadTeam::run(const std::function<void(int)>& f) {
   }
   job_ = nullptr;
   if (error_) {
+    // Members that left a barrier episode on abort left their arrivals
+    // counted; the next region's barrier must start clean.
+    barrier_.reset();
     std::exception_ptr e = error_;
     error_ = nullptr;
     std::rethrow_exception(e);

@@ -5,14 +5,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "runtime/barrier.hpp"
 #include "runtime/types.hpp"
-#include "runtime/work_deque.hpp"
 
 /// Persistent SPMD thread team — the "multiprocessor" substrate.
 ///
@@ -31,17 +29,15 @@ namespace rtl {
 /// Synchronization-event counters accumulated across executor runs on a
 /// team. These are the noise-immune evidence for scheduler claims on
 /// hosts where wall time is dominated by run-to-run jitter (docs/PERF.md):
-/// `flag_publishes` and `barrier_waits` are deterministic per execution,
-/// `steals` depends on the actual interleaving.
+/// `flag_publishes` and `barrier_waits` are deterministic per execution.
 struct ExecCounters {
-  /// Per-(row[, panel]) completion publications: `ReadyFlags::set` calls
-  /// of the flag-based executors, task completions of the pipelined one.
+  /// Completion publications: `ReadyFlags::set` calls of the flag-based
+  /// executors, progress stores of the point-to-point one.
   std::uint64_t flag_publishes = 0;
-  /// Successful work-stealing deque steals (pipelined executor only).
+  /// Always 0 (no executor steals work); kept because bench/e2e reads it.
   std::uint64_t steals = 0;
-  /// Per-phase barrier arrivals (pre-scheduled / windowed executors; one
-  /// count per thread per phase boundary). The pipelined executor's single
-  /// region-entry rendezvous is not a phase barrier and is not counted.
+  /// Per-phase barrier arrivals of the pre-scheduled executor (one count
+  /// per thread per phase boundary).
   std::uint64_t barrier_waits = 0;
 };
 
@@ -72,8 +68,9 @@ class ThreadTeam {
   /// Number of team members (including the caller).
   [[nodiscard]] int size() const noexcept { return num_threads_; }
 
-  /// Team-wide barrier usable inside a region body. Each member must use
-  /// its own BarrierToken; see `run` for the canonical pattern.
+  /// Team-wide barrier usable inside a region body. Its waits watch the
+  /// region-abort flag: `arrive_and_wait` returns false once a member of
+  /// the region threw.
   [[nodiscard]] SpinBarrier& barrier() noexcept { return barrier_; }
 
   /// Execute `f(tid)` for tid in [0, size()) in parallel; returns when all
@@ -83,14 +80,8 @@ class ThreadTeam {
   /// Exception policy: if any member throws, the first exception is
   /// recorded, the region-abort flag is raised (`region_aborted()`), and
   /// the exception is rethrown on the caller after all members finished;
-  /// the next region starts with the flag clear. Whether a throwing loop
-  /// body is safe depends on the executor: the point-to-point executor
-  /// (the default) and the §5.1.2 rotating variants are abort-safe — the
-  /// former's waits watch the flag, the latter never actually wait. The ready
-  /// flags of the self-executing, doacross, self-scheduled and windowed
-  /// executors, the `SpinBarrier` of the pre-scheduled and windowed ones
-  /// and the pipelined executor's task countdown do not watch it, so a
-  /// body they run must not throw: its consumers would spin forever.
+  /// the next region starts with the flag clear and the barrier's
+  /// abandoned arrivals forgotten.
   void run(const std::function<void(int)>& f);
 
   /// Whether a member of the current region has thrown. Slow-path wait
@@ -104,36 +95,25 @@ class ThreadTeam {
   void parallel_blocks(index_t n,
                        const std::function<void(int, index_t, index_t)>& f);
 
-  /// Member `tid`'s work-stealing deque. Owned by the team so the buffers
-  /// amortize across executions; the ownership contract is the deque's
-  /// (push/pop/reset by member `tid` only, steal from anywhere inside a
-  /// region).
-  [[nodiscard]] WorkStealingDeque& deque(int tid) noexcept {
-    return *deques_[static_cast<std::size_t>(tid)];
-  }
-
   /// Accumulate per-thread synchronization-event counts. Executors call
   /// this once per member at region end with locally-accumulated values
   /// (never per event — the counters must not perturb the hot loops).
-  void add_exec_counters(std::uint64_t flag_publishes, std::uint64_t steals,
+  void add_exec_counters(std::uint64_t flag_publishes,
                          std::uint64_t barrier_waits) noexcept {
     flag_publishes_.fetch_add(flag_publishes, std::memory_order_relaxed);
-    steals_.fetch_add(steals, std::memory_order_relaxed);
     barrier_waits_.fetch_add(barrier_waits, std::memory_order_relaxed);
   }
 
   /// Snapshot of the counters accumulated since construction or the last
   /// `reset_exec_counters`. Read between regions for exact values.
   [[nodiscard]] ExecCounters exec_counters() const noexcept {
-    return {flag_publishes_.load(std::memory_order_relaxed),
-            steals_.load(std::memory_order_relaxed),
+    return {flag_publishes_.load(std::memory_order_relaxed), 0,
             barrier_waits_.load(std::memory_order_relaxed)};
   }
 
   /// Zero the counters (between regions).
   void reset_exec_counters() noexcept {
     flag_publishes_.store(0, std::memory_order_relaxed);
-    steals_.store(0, std::memory_order_relaxed);
     barrier_waits_.store(0, std::memory_order_relaxed);
   }
 
@@ -144,15 +124,10 @@ class ThreadTeam {
   void record_error();
 
   const int num_threads_;
-  SpinBarrier barrier_;
-
-  // One work-stealing deque per member (unique_ptr: the deque pins its
-  // cache-line alignment and is neither movable nor copyable).
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
+  SpinBarrier barrier_;  // watches abort_ (declared below; address only)
 
   // Synchronization-event counters (see ExecCounters).
   std::atomic<std::uint64_t> flag_publishes_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> barrier_waits_{0};
 
   std::vector<std::thread> workers_;

@@ -330,7 +330,7 @@ std::shared_ptr<SolveService::FactorEntry> SolveService::build_entry(
   entry->n = entry->a.rows();
   try {
     entry->precond = std::make_unique<IluPreconditioner>(
-        runtime_, entry->a, level, config_.solve_options);
+        runtime_, entry->a, level);
   } catch (const std::invalid_argument& e) {
     fail(ServiceErrc::kBadRequest, e.what());
   }
@@ -338,8 +338,8 @@ std::shared_ptr<SolveService::FactorEntry> SolveService::build_entry(
     entry->precond->factor(runtime_.team(), entry->a);
   } catch (const std::runtime_error& e) {
     // A zero pivot: the uploaded matrix has no ILU factorization. The
-    // default executor leaves the region when the row body throws, so the
-    // solver thread and its team stay usable for the next request.
+    // executor leaves the region when the row body throws, so the solver
+    // thread and its team stay usable for the next request.
     fail(ServiceErrc::kBadRequest, e.what());
   }
   return entry;

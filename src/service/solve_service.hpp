@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/executors.hpp"
 #include "core/runtime.hpp"
 #include "runtime/latency_histogram.hpp"
 #include "service/metrics.hpp"
@@ -45,10 +44,10 @@
 ///
 /// **Aggregation**: one solver thread drains the whole queue at a time
 /// and groups adjacent solve requests by factorization entry; each group
-/// becomes a single `apply_batch` call of width k (panel-pipelined when
-/// the configured options say so), so the per-wavefront synchronization
-/// is paid once for k concurrent clients — service throughput inherits
-/// the measured ~12-15x per-RHS amortization of batched kernels. FIFO
+/// becomes a single `apply_batch` call of width k, so the per-wavefront
+/// synchronization is paid once for k concurrent clients — service
+/// throughput inherits the measured ~12-15x per-RHS amortization of
+/// batched kernels. FIFO
 /// processing order is preserved across *control* requests (an upload
 /// always completes before a later solve that names it), and within a
 /// batch, column j is request j of the group — completions map back to
@@ -90,8 +89,6 @@ struct ServiceConfig {
   /// before draining, letting concurrent submitters coalesce into one
   /// batch. 0 = drain immediately (lowest latency, narrower batches).
   std::chrono::microseconds batch_window{0};
-  /// Inspector/executor options for every plan the service builds.
-  DoconsiderOptions solve_options;
   /// Plan-cache bounds handed to the owned Runtime (defaults follow
   /// RTL_PLAN_CACHE_CAP / RTL_PLAN_CACHE_DIR).
   std::size_t plan_cache_capacity = Runtime::default_plan_cache_capacity();

@@ -1,6 +1,6 @@
 // Tests for the executor engine behind Plan::execute — the pre-scheduled,
-// self-executing, doacross, self-scheduled, windowed and rotating
-// instrumented shapes — and the doconsider facade. Every shape is reached
+// self-executing, doacross and rotating instrumented shapes — and the
+// doconsider facade. Every shape is reached
 // the way production code reaches it: a Plan compiled with the matching
 // DoconsiderOptions.
 
@@ -298,100 +298,6 @@ TEST_P(ExecutorsTest, ParallelInspectorProducesSamePlan) {
   EXPECT_EQ(a.schedule().phase_ptr, b.schedule().phase_ptr);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
-
-TEST_P(ExecutorsTest, SelfScheduledMatchesSequential) {
-  ThreadTeam team(GetParam());
-  auto loop = SimpleLoop::make(611, 31);
-  const Plan plan = make_plan(team, loop.dependences(),
-                              SchedulingPolicy::kGlobal,
-                              ExecutionPolicy::kSelfScheduled);
-  std::vector<real_t> x = loop.x0;
-  plan.execute(team, loop.body(x));
-  EXPECT_EQ(x, loop.sequential_result());
-}
-
-TEST_P(ExecutorsTest, SelfScheduledRunsEveryIterationOnce) {
-  ThreadTeam team(GetParam());
-  const auto g = SimpleLoop::make(500, 32).dependences();
-  const index_t n = g.size();
-  const Plan plan = make_plan(team, DependenceGraph(g),
-                              SchedulingPolicy::kGlobal,
-                              ExecutionPolicy::kSelfScheduled);
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  for (auto& h : hits) h.store(0);
-  plan.execute(team, [&](index_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST_P(ExecutorsTest, SelfScheduledRespectsDependences) {
-  ThreadTeam team(GetParam());
-  const auto spec = SyntheticSpec{.mesh = 18, .lambda = 3.0,
-                                  .mean_dist = 2.0, .seed = 33};
-  const auto g = synthetic_dependences(spec);
-  const index_t n = g.size();
-  const Plan plan = make_plan(team, DependenceGraph(g),
-                              SchedulingPolicy::kGlobal,
-                              ExecutionPolicy::kSelfScheduled);
-  std::atomic<long> clock{0};
-  std::vector<long> stamp(static_cast<std::size_t>(n), -1);
-  plan.execute(team, [&](index_t i) {
-    stamp[static_cast<std::size_t>(i)] = clock.fetch_add(1);
-  });
-  for (index_t i = 0; i < n; ++i) {
-    for (const index_t d : g.deps(i)) {
-      EXPECT_LT(stamp[static_cast<std::size_t>(d)],
-                stamp[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-class WindowedExecutorTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(WindowedExecutorTest, MatchesSequentialAtEveryWindow) {
-  const auto [nthreads, window] = GetParam();
-  ThreadTeam team(nthreads);
-  auto loop = SimpleLoop::make(457, 41);
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kWindowed;
-  opts.window = static_cast<index_t>(window);
-  const Plan plan(team, loop.dependences(), opts);
-  std::vector<real_t> x = loop.x0;
-  plan.execute(team, loop.body(x));
-  EXPECT_EQ(x, loop.sequential_result());
-}
-
-TEST_P(WindowedExecutorTest, RespectsDependences) {
-  const auto [nthreads, window] = GetParam();
-  ThreadTeam team(nthreads);
-  const auto spec = SyntheticSpec{.mesh = 16, .lambda = 3.0,
-                                  .mean_dist = 2.0, .seed = 44};
-  const auto g = synthetic_dependences(spec);
-  const index_t n = g.size();
-  DoconsiderOptions opts;
-  opts.scheduling = SchedulingPolicy::kLocalWrapped;
-  opts.execution = ExecutionPolicy::kWindowed;
-  opts.window = static_cast<index_t>(window);
-  const Plan plan(team, DependenceGraph(g), opts);
-  std::atomic<long> clock{0};
-  std::vector<long> stamp(static_cast<std::size_t>(n), -1);
-  plan.execute(team, [&](index_t i) {
-    stamp[static_cast<std::size_t>(i)] = clock.fetch_add(1);
-  });
-  for (index_t i = 0; i < n; ++i) {
-    for (const index_t d : g.deps(i)) {
-      ASSERT_LT(stamp[static_cast<std::size_t>(d)],
-                stamp[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WindowSweep, WindowedExecutorTest,
-    ::testing::Combine(::testing::Values(1, 4, 16),
-                       ::testing::Values(1, 2, 7, 1000)));
 
 TEST(ExecutorsEdge, EmptyLoopIsANoop) {
   ThreadTeam team(4);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -262,33 +263,41 @@ CsrMatrix tridiagonal(bool zero_first_pivot) {
 }
 
 TEST(IluNumericTest, ParallelZeroPivotThrowsAndTeamStaysUsable) {
-  // A zero pivot in row 0 under the default (point-to-point) executor:
-  // the row body throws, every processor waiting on row 0's producer
-  // leaves the region, and factor() throws instead of hanging. The same
-  // Runtime then factors and applies a sound matrix.
+  // A zero pivot in row 0 under every executor: the row body throws,
+  // every processor waiting on row 0 (its ready flag, its producer's
+  // progress, or the phase barrier) leaves the region, and factor()
+  // throws instead of hanging. The same Runtime then factors and applies
+  // a sound matrix.
   const CsrMatrix bad = tridiagonal(true);
   const CsrMatrix good = tridiagonal(false);
-  for (int procs = 1; procs <= 8; ++procs) {
-    Runtime rt(procs, 8, "");
-    IluPreconditioner singular(rt, bad, 0);
-    EXPECT_THROW(singular.factor(rt.team(), bad), std::runtime_error)
-        << "procs=" << procs;
+  for (const auto exec :
+       {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
+        ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
+    DoconsiderOptions opts;
+    opts.execution = exec;
+    for (int procs = 1; procs <= 8; ++procs) {
+      SCOPED_TRACE("exec=" + std::to_string(static_cast<int>(exec)) +
+                   " procs=" + std::to_string(procs));
+      Runtime rt(procs, 8, "");
+      IluPreconditioner singular(rt, bad, 0, opts);
+      EXPECT_THROW(singular.factor(rt.team(), bad), std::runtime_error);
 
-    IluPreconditioner sound(rt, good, 0);
-    sound.factor(rt.team(), good);
-    IluFactorization seq(good, 0);
-    seq.factor(good);
-    for (index_t i = 0; i < good.rows(); ++i) {
-      const auto got = sound.factors().upper().row_vals(i);
-      const auto want = seq.upper().row_vals(i);
-      ASSERT_EQ(std::vector<real_t>(got.begin(), got.end()),
-                std::vector<real_t>(want.begin(), want.end()))
-          << "procs=" << procs << " row=" << i;
+      IluPreconditioner sound(rt, good, 0, opts);
+      sound.factor(rt.team(), good);
+      IluFactorization seq(good, 0);
+      seq.factor(good);
+      for (index_t i = 0; i < good.rows(); ++i) {
+        const auto got = sound.factors().upper().row_vals(i);
+        const auto want = seq.upper().row_vals(i);
+        ASSERT_EQ(std::vector<real_t>(got.begin(), got.end()),
+                  std::vector<real_t>(want.begin(), want.end()))
+            << "row=" << i;
+      }
+      const std::vector<real_t> r(64, 1.0);
+      std::vector<real_t> z(64, 0.0);
+      sound.apply(rt.team(), r, z);
+      EXPECT_TRUE(std::isfinite(z[0]));
     }
-    const std::vector<real_t> r(64, 1.0);
-    std::vector<real_t> z(64, 0.0);
-    sound.apply(rt.team(), r, z);
-    EXPECT_TRUE(std::isfinite(z[0])) << "procs=" << procs;
   }
 }
 

@@ -109,21 +109,6 @@ TEST(BatchViewTest, FloatBuffersAndPrecisionConversionRoundTrip) {
   EXPECT_EQ(back.view().at(2, 0), 3.0f);
 }
 
-TEST(ExecStateTest, BatchWidthDefaultsToOneAndExecuteResetsIt) {
-  ThreadTeam team(2);
-  Factored f;
-  const auto plan = lower_plan_for(team, f.ilu);
-  ExecState state(*plan);
-  EXPECT_EQ(state.batch_width(), 1);
-  state.prepare_batch(8);
-  EXPECT_EQ(state.batch_width(), 8);
-  // Plain execute is a width-1 execution by contract: the width is never
-  // a sticky leftover (the pipelined executor sizes its panel
-  // decomposition and pending-counter array from it).
-  plan->execute(team, [](index_t) {}, state);
-  EXPECT_EQ(state.batch_width(), 1);
-}
-
 // ---------------------------------------------------------------------
 // Binding validation: every mismatch throws std::invalid_argument.
 // ---------------------------------------------------------------------
@@ -250,7 +235,6 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
   const index_t n = f.ilu.size();
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kSelfScheduled, ExecutionPolicy::kWindowed,
         ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;

@@ -7,7 +7,7 @@
 //      plan field for field — fingerprint, dependence CSR, wavefront CSR,
 //      schedule, stats, memory footprint — and a loaded plan's executions
 //      are bit-for-bit identical to the original's, including batched
-//      executions through the barrier and pipelined paths.
+//      executions.
 //   2. Corruption safety: truncation at any byte, any bit flip, wrong
 //      magic, a future format version, a mismatched fingerprint, or
 //      non-normalized options always throw a typed `PlanIoError` — never
@@ -76,12 +76,12 @@ struct RecurrenceBody {
   real_t* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const auto deps = g->deps(i);
     const std::size_t w = static_cast<std::size_t>(k);
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t* xi = x + static_cast<std::size_t>(i) * w;
-    for (index_t j = j0; j < j1; ++j) {
+    for (index_t j = 0; j < k; ++j) {
       real_t v = ri[static_cast<std::size_t>(j)];
       for (const index_t d : deps) {
         v += 0.5 * x[static_cast<std::size_t>(d) * w +
@@ -91,20 +91,13 @@ struct RecurrenceBody {
       xi[static_cast<std::size_t>(j)] = v;
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
 std::vector<real_t> run_batch(const Plan& plan, ThreadTeam& team,
                               const DependenceGraph& g,
                               const std::vector<real_t>& rhs, index_t k) {
   std::vector<real_t> x(rhs.size(), 0.0);
-  RecurrenceBody body{&g, rhs.data(), x.data(), k};
-  if (k == 1) {
-    plan.execute(team, body);
-  } else {
-    plan.execute_batch(team, k, body);
-  }
+  plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k});
   return x;
 }
 
@@ -231,18 +224,14 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
                                      SchedulingPolicy::kLocalWrapped,
                                      SchedulingPolicy::kLocalBlock};
   const ExecutionPolicy execs[] = {
-      ExecutionPolicy::kPreScheduled,  ExecutionPolicy::kSelfExecuting,
-      ExecutionPolicy::kDoAcross,      ExecutionPolicy::kSelfScheduled,
-      ExecutionPolicy::kWindowed,      ExecutionPolicy::kPipelined,
-      ExecutionPolicy::kPointToPoint};
+      ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
+      ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint};
 
   for (const SchedulingPolicy sched : scheds) {
     for (const ExecutionPolicy exec : execs) {
       DoconsiderOptions opts;
       opts.scheduling = sched;
       opts.execution = exec;
-      opts.window = 3;  // non-default, so the field round trip is visible
-      opts.panel = 2;
       SCOPED_TRACE("sched=" + std::to_string(static_cast<int>(sched)) +
                    " exec=" + std::to_string(static_cast<int>(exec)));
 
@@ -257,9 +246,8 @@ TEST_P(PlanIoRoundTrip, EveryPolicyCombinationSurvivesSaveLoad) {
       EXPECT_EQ(to_bytes(*loaded), image);
 
       // A loaded plan must execute bit-for-bit like the original, width 1
-      // and batched (the batched path covers the barrier machinery, for
-      // kPipelined the rebuilt successor adjacency and panel
-      // decomposition, and for kPointToPoint the re-derived wait lists).
+      // and batched (for kPointToPoint through the re-derived wait
+      // lists).
       EXPECT_EQ(run_batch(plan, team, g, rhs1, 1),
                 run_batch(*loaded, team, g, rhs1, 1));
       EXPECT_EQ(run_batch(plan, team, g, rhs, kWide),
@@ -397,10 +385,7 @@ TEST(PlanIoCorruption, RandomBitFlipsOnLargerImageAreRejected) {
   SCOPED_TRACE(seed_trace(seed));
   ThreadTeam team(4);
   const auto g = random_dag(120, 3, seed);
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 2;
-  const Plan plan(team, DependenceGraph(g), opts);
+  const Plan plan(team, DependenceGraph(g));
   const std::string image = to_bytes(plan);
 
   std::mt19937_64 rng(seed);
@@ -453,15 +438,32 @@ TEST(PlanIoCorruption, StoredFingerprintMismatchIsRejected) {
 }
 
 TEST(PlanIoCorruption, NonNormalizedOptionsAreRejected) {
-  // Default options normalize to window == 0 (execution is not windowed);
-  // a stored non-zero window therefore cannot have come from save_plan.
+  // None of these header bytes can have come from save_plan: the retired
+  // window and panel fields are always 0, execution codes 3-5 belonged to
+  // deleted executors, and the default point-to-point policy normalizes
+  // `instrumented` to 0.
   ThreadTeam team(2);
   const auto g = random_dag(16, 2, test_seed(8));
   const Plan plan(team, DependenceGraph(g), {});
-  std::string image = to_bytes(plan);
-  image[64] = 5;  // DoconsiderOptions::window, u64 LSB at offset 64
-  reseal(image);
-  EXPECT_EQ(load_errc(image), PlanIoErrc::kBadHeader);
+  const std::string pristine = to_bytes(plan);
+  const struct {
+    std::size_t offset;
+    unsigned char value;
+  } patches[] = {
+      {64, 5},  // window, u64 LSB at offset 64
+      {72, 5},  // panel, u64 LSB at offset 72
+      {60, 3},  // execution, u32 LSB at offset 60
+      {60, 4},
+      {60, 5},
+      {80, 1},  // instrumented
+  };
+  for (const auto& patch : patches) {
+    std::string image = pristine;
+    image[patch.offset] = static_cast<char>(patch.value);
+    reseal(image);
+    EXPECT_EQ(load_errc(image), PlanIoErrc::kBadHeader)
+        << "offset " << patch.offset << " value " << int{patch.value};
+  }
 }
 
 TEST(PlanIoCorruption, ErrcNamesAreStable) {

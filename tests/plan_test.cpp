@@ -86,13 +86,10 @@ TEST_P(PlanTest, EveryExecutionPolicyMatchesSequential) {
         SchedulingPolicy::kLocalBlock}) {
     for (const auto exec :
          {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-          ExecutionPolicy::kDoAcross, ExecutionPolicy::kSelfScheduled,
-          ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
-          ExecutionPolicy::kPointToPoint}) {
+          ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
       DoconsiderOptions opts;
       opts.scheduling = sched;
       opts.execution = exec;
-      opts.window = 3;
       const Plan plan(team, loop.dependences(), opts);
       std::vector<real_t> x = loop.x0;
       plan.execute(team, loop.body(x));
@@ -125,7 +122,7 @@ TEST_P(PlanTest, ExplicitExecStateIsReusableAcrossExecutions) {
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(388, 73);
   DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kSelfScheduled;
+  opts.execution = ExecutionPolicy::kSelfExecuting;
   const Plan plan(team, loop.dependences(), opts);
   ExecState state(plan);
   const auto expected = loop.sequential_result();
@@ -151,16 +148,14 @@ TEST_P(PlanTest, PooledExecuteIsRepeatable) {
 }
 
 TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
-  // Plan::execute_batch runs the loop once with the body sweeping all k
-  // right-hand sides per iteration; results must equal k independent
-  // single executions and the state must report the batch width.
+  // One execution whose body sweeps all k right-hand sides per iteration
+  // must equal k independent single executions.
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(350, 76);
   const index_t n = static_cast<index_t>(loop.ia.size());
   constexpr index_t kWidth = 3;
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kWindowed, ExecutionPolicy::kPipelined,
         ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
@@ -176,7 +171,7 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             static_cast<real_t>(j + 1);
       }
     }
-    plan.execute_batch(team, kWidth, [&](index_t i) {
+    plan.execute(team, [&](index_t i) {
       if (i == 0) return;
       const index_t d = loop.ia[static_cast<std::size_t>(i)];
       for (index_t j = 0; j < kWidth; ++j) {
@@ -185,7 +180,6 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             batch[static_cast<std::size_t>(d * kWidth + j)];
       }
     }, state);
-    EXPECT_EQ(state.batch_width(), kWidth);
 
     for (index_t j = 0; j < kWidth; ++j) {
       std::vector<real_t> x(static_cast<std::size_t>(n));
@@ -207,8 +201,8 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
 
 TEST_P(PlanTest, PointToPointPublishesOncePerSlabAndNeverBarriers) {
   // The default executor's synchronization is exact and deterministic:
-  // one release store per non-empty (processor, phase) slab, whatever the
-  // batch width, and no barrier, no steal, no ready flag.
+  // one release store per non-empty (processor, phase) slab, and no
+  // barrier, no steal, no ready flag.
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(457, 77);
   const Plan plan(team, loop.dependences());
@@ -221,65 +215,18 @@ TEST_P(PlanTest, PointToPointPublishesOncePerSlabAndNeverBarriers) {
     }
   }
   ASSERT_GT(slabs, 0u);
-  for (const index_t k : {1, 3}) {
+  for (int rep = 0; rep < 2; ++rep) {
     team.reset_exec_counters();
     std::vector<real_t> x = loop.x0;
-    plan.execute_batch(team, k, loop.body(x));
+    plan.execute(team, loop.body(x));
     const ExecCounters c = team.exec_counters();
-    EXPECT_EQ(c.flag_publishes, slabs) << "k=" << k;
-    EXPECT_EQ(c.barrier_waits, 0u) << "k=" << k;
-    EXPECT_EQ(c.steals, 0u) << "k=" << k;
+    EXPECT_EQ(c.flag_publishes, slabs) << "repetition " << rep;
+    EXPECT_EQ(c.barrier_waits, 0u) << "repetition " << rep;
+    EXPECT_EQ(c.steals, 0u) << "repetition " << rep;
   }
   // A one-processor team waits on nobody.
   if (team.size() == 1) {
     EXPECT_TRUE(plan.waits().waits.empty());
-  }
-}
-
-TEST_P(PlanTest, PooledStateSurvivesAlternatingBatchWidths) {
-  // Regression for the ExecState pool-reuse sizing bug: a pooled state
-  // leased by a k=1 pipelined execute and then re-leased by a k=16
-  // execute_batch must re-validate its pending-counter array for the new
-  // task count (n * panels) instead of trusting the k=1 sizing — and the
-  // k=1 run after that must not inherit the width-16 panel decomposition.
-  ThreadTeam team(GetParam());
-  auto loop = SimpleLoop::make(222, 77);
-  const index_t n = static_cast<index_t>(loop.ia.size());
-  constexpr index_t kWide = 16;
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
-  const Plan plan(team, loop.dependences(), opts);
-  const auto expected = loop.sequential_result();
-
-  for (int round = 0; round < 2; ++round) {
-    std::vector<real_t> x = loop.x0;
-    plan.execute(team, loop.body(x));
-    ASSERT_EQ(x, expected) << "round " << round << " k=1";
-
-    std::vector<real_t> batch(static_cast<std::size_t>(n * kWide));
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < kWide; ++j) {
-        batch[static_cast<std::size_t>(i * kWide + j)] =
-            loop.x0[static_cast<std::size_t>(i)];
-      }
-    }
-    plan.execute_batch(team, kWide, [&](index_t i) {
-      if (i == 0) return;
-      const index_t d = loop.ia[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < kWide; ++j) {
-        batch[static_cast<std::size_t>(i * kWide + j)] +=
-            loop.b[static_cast<std::size_t>(i)] *
-            batch[static_cast<std::size_t>(d * kWide + j)];
-      }
-    });
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < kWide; ++j) {
-        ASSERT_EQ(batch[static_cast<std::size_t>(i * kWide + j)],
-                  expected[static_cast<std::size_t>(i)])
-            << "round " << round << " col=" << j << " row=" << i;
-      }
-    }
   }
 }
 
@@ -398,10 +345,10 @@ TEST(RuntimeCache, IrrelevantOptionFieldsAreNormalizedInTheKey) {
   Runtime rt(2);
   const auto g = SimpleLoop::make(200, 85).dependences();
   DoconsiderOptions a;
-  a.execution = ExecutionPolicy::kSelfExecuting;
-  a.window = 2;  // meaningless for kSelfExecuting
+  a.execution = ExecutionPolicy::kPointToPoint;
+  a.instrumented = true;  // meaningless for kPointToPoint
   DoconsiderOptions b = a;
-  b.window = 9;
+  b.instrumented = false;
   b.parallel_inspector = true;  // build-speed knob, not an artifact knob
   const auto pa = rt.plan_for(DependenceGraph(g), a);
   const auto pb = rt.plan_for(DependenceGraph(g), b);

@@ -438,9 +438,8 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   // The acceptance property of the kernel layer: a batched solve with k
   // right-hand sides equals k single-RHS solves bit-for-bit, and every
   // single solve equals the sequential Figure 8 loop (sparse/triangular),
-  // under every executor (pipelined with a panel of 3, ragged at k = 4
-  // and 16), the three scheduling policies, every processor count 1..8
-  // and k in {1, 4, 16}. The batched bodies run their lanes under
+  // under every executor, the three scheduling policies, every processor
+  // count 1..8 and k in {1, 4, 16}. The batched bodies run their lanes under
   // `omp simd` and the single-RHS bodies are scalar, so this is also the
   // SIMD pin: one differing bit means a lane loop reordered arithmetic
   // or an executor ran a row before its dependences.
@@ -473,9 +472,6 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
       {ExecutionPolicy::kSelfExecuting, SchedulingPolicy::kLocalBlock},
       {ExecutionPolicy::kPreScheduled, SchedulingPolicy::kGlobal},
       {ExecutionPolicy::kDoAcross, SchedulingPolicy::kGlobal},
-      {ExecutionPolicy::kSelfScheduled, SchedulingPolicy::kGlobal},
-      {ExecutionPolicy::kWindowed, SchedulingPolicy::kGlobal},
-      {ExecutionPolicy::kPipelined, SchedulingPolicy::kGlobal},
       {ExecutionPolicy::kPointToPoint, SchedulingPolicy::kGlobal},
   };
   for (int nproc = 1; nproc <= 8; ++nproc) {
@@ -484,7 +480,6 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
       DoconsiderOptions opts;
       opts.execution = cfg.exec;
       opts.scheduling = cfg.sched;
-      if (cfg.exec == ExecutionPolicy::kPipelined) opts.panel = 3;
       auto kernel = BoundKernel::lower(
           std::make_shared<const Plan>(team, DependenceGraph(g), opts),
           lower);
@@ -515,56 +510,6 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
                 << " nproc=" << nproc << " k=" << k << " col=" << j
                 << " row=" << i;
           }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(DagPropertyTest, PipelinedBatchedSolveIsBitForBitBarrierSolve) {
-  // The acceptance property of the pipelined executor: for random DAGs,
-  // every processor count 1..8 and k in {1, 4, 16}, the barrier-free
-  // pipelined batched solve is bit-for-bit identical to the pre-scheduled
-  // (barrier) batched solve. The panel width 3 does not divide either
-  // batch width, so the last panel of every row is ragged — the panel
-  // decomposition must not change a single bit of any lane.
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  const CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
-  const index_t n = g.size();
-
-  std::mt19937_64 rng(seed ^ 0xfeed);
-  std::uniform_real_distribution<real_t> dist(-10.0, 10.0);
-  for (int nproc = 1; nproc <= 8; ++nproc) {
-    ThreadTeam team(nproc);
-    DoconsiderOptions barrier_opts;
-    barrier_opts.execution = ExecutionPolicy::kPreScheduled;
-    DoconsiderOptions pipe_opts;
-    pipe_opts.execution = ExecutionPolicy::kPipelined;
-    pipe_opts.panel = 3;
-    auto barrier_kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), barrier_opts),
-        lower);
-    auto pipe_kernel = BoundKernel::lower(
-        std::make_shared<const Plan>(team, DependenceGraph(g), pipe_opts),
-        lower);
-    for (const index_t k : {1, 4, 16}) {
-      BatchBuffer rhs(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        std::vector<real_t> colv(static_cast<std::size_t>(n));
-        for (auto& v : colv) v = dist(rng);
-        rhs.set_column(j, colv);
-      }
-      BatchBuffer got_barrier(n, k), got_pipe(n, k);
-      barrier_kernel.solve(team, rhs.view(), got_barrier.view());
-      pipe_kernel.solve(team, rhs.view(), got_pipe.view());
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got_pipe.view().at(i, j), got_barrier.view().at(i, j))
-              << "nproc=" << nproc << " k=" << k << " col=" << j
-              << " row=" << i;
         }
       }
     }

@@ -1,5 +1,5 @@
 // Tests for the runtime substrate: thread team, barrier, ready flags,
-// spin waits, block partitioning, work-stealing deque — plus the
+// spin waits, block partitioning — plus the
 // `Runtime` plan cache's on-disk tier (lookup order memory LRU → disk →
 // inspector, atomic write-back, reject-and-reinspect of invalid images).
 
@@ -24,7 +24,6 @@
 #include "runtime/spin_wait.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
-#include "runtime/work_deque.hpp"
 #include "sparse/triangular.hpp"
 
 namespace rtl {
@@ -133,9 +132,8 @@ TEST(ThreadTeam, OversubscribedTeamWarnsOnceAndStillFunctions) {
   // Barrier-synchronized phases still work when threads outnumber cores.
   std::atomic<int> phase_sum{0};
   team.run([&](int) {
-    BarrierToken bar(team.barrier());
     phase_sum.fetch_add(1);
-    bar.wait();
+    team.barrier().arrive_and_wait();
     EXPECT_EQ(phase_sum.load(), oversubscribed);
   });
 }
@@ -167,22 +165,19 @@ TEST(SpinBarrier, SynchronizesCounterPhases) {
   std::vector<std::atomic<int>> counters(100);
   for (auto& c : counters) c.store(0);
   team.run([&](int) {
-    BarrierToken bar(barrier);
     for (int phase = 0; phase < 100; ++phase) {
       counters[static_cast<std::size_t>(phase)].fetch_add(1);
-      bar.wait();
+      barrier.arrive_and_wait();
       // After the barrier, every thread must observe the full count.
       EXPECT_EQ(counters[static_cast<std::size_t>(phase)].load(), p);
-      bar.wait();
+      barrier.arrive_and_wait();
     }
   });
 }
 
 TEST(SpinBarrier, SingleParticipantNeverBlocks) {
   SpinBarrier barrier(1);
-  BarrierToken bar(barrier);
-  for (int i = 0; i < 10; ++i) bar.wait();
-  SUCCEED();
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(barrier.arrive_and_wait());
 }
 
 TEST(SpinBarrier, OrdersWritesAcrossPhases) {
@@ -190,13 +185,31 @@ TEST(SpinBarrier, OrdersWritesAcrossPhases) {
   ThreadTeam team(p);
   std::vector<int> values(static_cast<std::size_t>(p), 0);
   team.run([&](int tid) {
-    BarrierToken bar(team.barrier());
     values[static_cast<std::size_t>(tid)] = tid + 1;
-    bar.wait();
+    team.barrier().arrive_and_wait();
     int sum = 0;
     for (const int v : values) sum += v;
     EXPECT_EQ(sum, p * (p + 1) / 2);
-    bar.wait();
+    team.barrier().arrive_and_wait();
+  });
+}
+
+TEST(SpinBarrier, WaitersLeaveOnAbortAndNextRegionStartsClean) {
+  // Member 0 throws before arriving: the others must give up the episode
+  // instead of spinning forever, and their abandoned arrivals must not
+  // leak into the next region, whose barrier would then open early.
+  const int p = 4;
+  ThreadTeam team(p);
+  EXPECT_THROW(team.run([&](int tid) {
+    if (tid == 0) throw std::runtime_error("member 0");
+    EXPECT_FALSE(team.barrier().arrive_and_wait());
+  }),
+               std::runtime_error);
+  std::atomic<int> arrived{0};
+  team.run([&](int) {
+    arrived.fetch_add(1);
+    EXPECT_TRUE(team.barrier().arrive_and_wait());
+    EXPECT_EQ(arrived.load(), p);
   });
 }
 
@@ -217,10 +230,10 @@ TEST(ReadyFlags, ResetClearsAll) {
 }
 
 TEST(ReadyFlags, WaitReturnsImmediatelyWhenSet) {
+  ThreadTeam team(1);
   ReadyFlags flags(2);
   flags.set(1);
-  flags.wait(1);  // must not hang
-  SUCCEED();
+  EXPECT_TRUE(flags.wait(1, team));  // must not hang
 }
 
 TEST(ReadyFlags, PublishesDataAcrossThreads) {
@@ -235,7 +248,7 @@ TEST(ReadyFlags, PublishesDataAcrossThreads) {
         payload = 42;
         flags.set(0);
       } else {
-        flags.wait(0);
+        EXPECT_TRUE(flags.wait(0, team));
         EXPECT_EQ(payload, 42);
       }
     });
@@ -255,119 +268,13 @@ TEST(SpinWaitTest, SpinUntilObservesPredicate) {
   EXPECT_TRUE(flag.load());
 }
 
-TEST(WorkStealingDequeTest, OwnerPopsLifoThievesStealFifo) {
-  WorkStealingDeque dq;
-  for (std::uint64_t v = 0; v < 5; ++v) dq.push(v);
-  EXPECT_EQ(dq.size(), 5);
-  std::uint64_t item = 99;
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 4u);  // owner end: most recent first
-  ASSERT_TRUE(dq.steal(item));
-  EXPECT_EQ(item, 0u);  // thief end: oldest first
-  ASSERT_TRUE(dq.steal(item));
-  EXPECT_EQ(item, 1u);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 3u);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 2u);
-  EXPECT_FALSE(dq.pop(item));
-  EXPECT_FALSE(dq.steal(item));
-}
-
-TEST(WorkStealingDequeTest, GrowsPastInitialCapacityPreservingOrder) {
-  WorkStealingDeque dq(2);
-  const std::uint64_t count = 1000;  // forces repeated grows
-  for (std::uint64_t v = 0; v < count; ++v) dq.push(v);
-  EXPECT_GE(dq.capacity(), static_cast<std::size_t>(count));
-  for (std::uint64_t v = 0; v < count; ++v) {
-    std::uint64_t item = ~0ull;
-    ASSERT_TRUE(dq.steal(item));
-    EXPECT_EQ(item, v);
-  }
-  std::uint64_t item;
-  EXPECT_FALSE(dq.steal(item));
-  dq.reset();
-  EXPECT_EQ(dq.size(), 0);
-}
-
-TEST(WorkStealingDequeTest, ResetEmptiesAfterPartialConsumption) {
-  WorkStealingDeque dq;
-  for (std::uint64_t v = 0; v < 8; ++v) dq.push(v);
-  std::uint64_t item;
-  ASSERT_TRUE(dq.pop(item));
-  ASSERT_TRUE(dq.steal(item));
-  dq.reset();
-  EXPECT_EQ(dq.size(), 0);
-  EXPECT_FALSE(dq.pop(item));
-  // The deque is reusable after reset.
-  dq.push(42);
-  ASSERT_TRUE(dq.pop(item));
-  EXPECT_EQ(item, 42u);
-}
-
-TEST(WorkStealingDequeTest, ConcurrentPopAndStealConsumeEachItemOnce) {
-  // One owner pushing and popping, several thieves stealing: every pushed
-  // value must be consumed exactly once across all consumers. Runs under
-  // the TSan CI job, so this is also the deque's race audit.
-  constexpr int kThieves = 3;
-  constexpr std::uint64_t kItems = 20000;
-  WorkStealingDeque dq(4);  // small initial capacity: grows under fire
-  std::vector<std::atomic<int>> consumed(kItems);
-  for (auto& c : consumed) c.store(0, std::memory_order_relaxed);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::uint64_t item;
-      while (!done.load(std::memory_order_acquire)) {
-        if (dq.steal(item)) {
-          consumed[static_cast<std::size_t>(item)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-      // Drain whatever the owner left behind.
-      while (dq.steal(item)) {
-        consumed[static_cast<std::size_t>(item)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::uint64_t next = 0;
-  std::uint64_t item;
-  while (next < kItems) {
-    // Push a small burst, then pop some back — the owner and the thieves
-    // contend on the one-element race path constantly.
-    for (int b = 0; b < 7 && next < kItems; ++b) dq.push(next++);
-    for (int b = 0; b < 3; ++b) {
-      if (dq.pop(item)) {
-        consumed[static_cast<std::size_t>(item)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-  }
-  while (dq.pop(item)) {
-    consumed[static_cast<std::size_t>(item)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-
-  for (std::uint64_t v = 0; v < kItems; ++v) {
-    ASSERT_EQ(consumed[static_cast<std::size_t>(v)].load(), 1)
-        << "item " << v << " consumed wrong number of times";
-  }
-}
-
 TEST(ThreadTeamCounters, AccumulateAndReset) {
   ThreadTeam team(2);
-  team.add_exec_counters(10, 2, 3);
-  team.add_exec_counters(5, 0, 1);
+  team.add_exec_counters(10, 3);
+  team.add_exec_counters(5, 1);
   const ExecCounters c = team.exec_counters();
   EXPECT_EQ(c.flag_publishes, 15u);
-  EXPECT_EQ(c.steals, 2u);
+  EXPECT_EQ(c.steals, 0u);
   EXPECT_EQ(c.barrier_waits, 4u);
   team.reset_exec_counters();
   const ExecCounters z = team.exec_counters();

@@ -4,14 +4,13 @@
 //
 // This suite exists to be run under the sanitizers: the CI TSan job runs
 // `ctest -L "quick|stress"`, so every synchronization path — the phase
-// barriers, the ready-flag busy-waits, the fetch-and-add cursor, the
-// windowed hybrid, the pipelined pending-counter/work-stealing machinery
-// and the point-to-point progress counters (including their abort path) —
-// is exercised with real contention (including processor counts far above
-// the host's core count) on every PR. The batched GMRES's column-parallel
-// region rides along: its cursor and its per-column state handoff are
-// audited the same way. Failures print the RNG seed; replay any instance
-// with RTL_TEST_SEED=<seed>.
+// barriers, the ready-flag busy-waits and the point-to-point progress
+// counters, each including its abort path — is exercised with real
+// contention (including processor counts far above the host's core count)
+// on every PR. The batched GMRES's column-parallel region rides along: its
+// cursor and its per-column state handoff are audited the same way.
+// Failures print the RNG seed; replay any instance with
+// RTL_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -60,20 +60,19 @@ DependenceGraph random_dag(index_t n, int max_deg, std::uint64_t seed) {
 /// Each lane's operand order is fixed by the sorted dependence list, so
 /// the result is bit-for-bit independent of the execution interleaving —
 /// any divergence from the sequential reference is a scheduler bug, not
-/// floating-point reassociation. Panel-aware: the pipelined executor may
-/// hand it any column sub-range.
+/// floating-point reassociation.
 struct RecurrenceBody {
   const DependenceGraph* g;
   const real_t* rhs;
   real_t* x;
   index_t k;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     const auto deps = g->deps(i);
     const std::size_t w = static_cast<std::size_t>(k);
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t* xi = x + static_cast<std::size_t>(i) * w;
-    for (index_t j = j0; j < j1; ++j) {
+    for (index_t j = 0; j < k; ++j) {
       real_t v = ri[static_cast<std::size_t>(j)];
       for (const index_t d : deps) {
         v += 0.5 * x[static_cast<std::size_t>(d) * w +
@@ -83,8 +82,6 @@ struct RecurrenceBody {
       xi[static_cast<std::size_t>(j)] = v;
     }
   }
-
-  void operator()(index_t i) const { (*this)(i, 0, k); }
 };
 
 std::vector<real_t> sequential_reference(const DependenceGraph& g,
@@ -137,13 +134,10 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
   } policies[] = {
       {ExecutionPolicy::kPreScheduled, "barrier"},
       {ExecutionPolicy::kSelfExecuting, "fuzzy"},
-      {ExecutionPolicy::kSelfScheduled, "self-scheduled"},
-      {ExecutionPolicy::kWindowed, "windowed"},
-      {ExecutionPolicy::kPipelined, "pipelined"},
       {ExecutionPolicy::kPointToPoint, "point-to-point"},
   };
-  // 8 procs on small hosts is deliberately oversubscribed: the stealing
-  // and busy-wait paths must stay correct when workers are descheduled
+  // 8 procs on small hosts is deliberately oversubscribed: the busy-wait
+  // paths must stay correct when workers are descheduled
   // mid-protocol, which is exactly what TSan + oversubscription provoke.
   const int procs[] = {1, 2, 3, 4, 8};
   const index_t widths[] = {1, 4, 16};
@@ -159,16 +153,9 @@ TEST_P(SchedulerStressTest, EveryPolicyMatchesSequentialAtEveryWidth) {
       for (const auto& pol : policies) {
         DoconsiderOptions opts;
         opts.execution = pol.exec;
-        opts.window = 2;
-        opts.panel = 3;  // ragged last panel at k=4 and k=16
         const Plan plan(team, DependenceGraph(g), opts);
         std::vector<real_t> x(rhs.size(), 0.0);
-        RecurrenceBody body{&g, rhs.data(), x.data(), k};
-        if (k == 1) {
-          plan.execute(team, body);
-        } else {
-          plan.execute_batch(team, k, body);
-        }
+        plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k});
         ASSERT_EQ(x, ref) << "policy=" << pol.name << " procs=" << p
                           << " k=" << k;
       }
@@ -181,20 +168,20 @@ struct ThrowingBody {
   RecurrenceBody inner;
   index_t bad;
 
-  void operator()(index_t i, index_t j0, index_t j1) const {
+  void operator()(index_t i) const {
     if (i == bad) throw std::runtime_error("injected fault");
-    inner(i, j0, j1);
+    inner(i);
   }
-  void operator()(index_t i) const { (*this)(i, 0, inner.k); }
 };
 
-TEST_P(SchedulerStressTest, PointToPointThrowingBodyReachesCallerTeamReusable) {
-  // A body that throws at row r leaves its processor's progress counter
-  // behind forever; every peer waiting on it must notice the team's
-  // region-abort flag and leave, so the caller gets the body's exception
-  // (not a hang) and the very next region on the same team and plan runs
-  // normally. Every processor count 1..8 (oversubscribed on small hosts),
-  // k in {1, 4, 16}, faults at the first, a middle and the last row.
+TEST_P(SchedulerStressTest, ThrowingBodyReachesCallerTeamReusable) {
+  // A body that throws at row r never publishes that row (no ready flag,
+  // no progress store, no barrier arrival); every peer waiting on it must
+  // notice the team's region-abort flag and leave, so the caller gets the
+  // body's exception (not a hang) and the very next region on the same
+  // team and plan runs normally. Every policy, every processor count 1..8
+  // (oversubscribed on small hosts), k in {1, 4, 16}, faults at the
+  // first, a middle and the last row.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -202,71 +189,42 @@ TEST_P(SchedulerStressTest, PointToPointThrowingBodyReachesCallerTeamReusable) {
   const index_t n = g.size();
   std::mt19937_64 rng(seed ^ 0xFA017);
   std::uniform_real_distribution<real_t> dist(-4.0, 4.0);
-  for (int p = 1; p <= 8; ++p) {
-    ThreadTeam team(p);
-    const Plan plan(team, DependenceGraph(g));
-    ASSERT_EQ(plan.options().execution, ExecutionPolicy::kPointToPoint);
-    for (const index_t k : {1, 4, 16}) {
-      std::vector<real_t> rhs(static_cast<std::size_t>(n) *
-                              static_cast<std::size_t>(k));
-      for (auto& v : rhs) v = dist(rng);
-      const std::vector<real_t> ref = sequential_reference(g, rhs, k);
-      for (const index_t bad : {index_t{0}, n / 2, n - 1}) {
-        std::vector<real_t> x(rhs.size(), 0.0);
-        const ThrowingBody faulty{{&g, rhs.data(), x.data(), k}, bad};
-        EXPECT_THROW(plan.execute_batch(team, k, faulty), std::runtime_error)
-            << "procs=" << p << " k=" << k << " bad=" << bad;
-        RecurrenceBody body{&g, rhs.data(), x.data(), k};
-        plan.execute_batch(team, k, body);
-        ASSERT_EQ(x, ref) << "procs=" << p << " k=" << k << " bad=" << bad;
+  for (const auto exec :
+       {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
+        ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
+    DoconsiderOptions opts;
+    opts.execution = exec;
+    for (int p = 1; p <= 8; ++p) {
+      ThreadTeam team(p);
+      const Plan plan(team, DependenceGraph(g), opts);
+      for (const index_t k : {1, 4, 16}) {
+        std::vector<real_t> rhs(static_cast<std::size_t>(n) *
+                                static_cast<std::size_t>(k));
+        for (auto& v : rhs) v = dist(rng);
+        const std::vector<real_t> ref = sequential_reference(g, rhs, k);
+        for (const index_t bad : {index_t{0}, n / 2, n - 1}) {
+          SCOPED_TRACE("exec=" + std::to_string(static_cast<int>(exec)) +
+                       " procs=" + std::to_string(p) +
+                       " k=" + std::to_string(k) +
+                       " bad=" + std::to_string(bad));
+          std::vector<real_t> x(rhs.size(), 0.0);
+          const ThrowingBody faulty{{&g, rhs.data(), x.data(), k}, bad};
+          EXPECT_THROW(plan.execute(team, faulty), std::runtime_error);
+          plan.execute(team, RecurrenceBody{&g, rhs.data(), x.data(), k});
+          ASSERT_EQ(x, ref);
+        }
       }
     }
-  }
-}
-
-TEST_P(SchedulerStressTest, PipelinedSharedStateSurvivesWidthChurn) {
-  // One plan, one explicit ExecState, widths alternating 1 / 16 / 4 / 16:
-  // the pending-counter array must be re-validated for every execution's
-  // task count, never trusted from the previous width (the pool-reuse
-  // sizing bug this PR fixes).
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  const index_t n = g.size();
-
-  ThreadTeam team(4);
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
-  const Plan plan(team, DependenceGraph(g), opts);
-  ExecState state(plan);
-
-  std::mt19937_64 rng(seed ^ 0xC0FFEE);
-  std::uniform_real_distribution<real_t> dist(-4.0, 4.0);
-  for (const index_t k : {1, 16, 4, 16, 1}) {
-    std::vector<real_t> rhs(static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(k));
-    for (auto& v : rhs) v = dist(rng);
-    const std::vector<real_t> ref = sequential_reference(g, rhs, k);
-    std::vector<real_t> x(rhs.size(), 0.0);
-    RecurrenceBody body{&g, rhs.data(), x.data(), k};
-    if (k == 1) {
-      plan.execute(team, body, state);
-    } else {
-      plan.execute_batch(team, k, body, state);
-    }
-    ASSERT_EQ(x, ref) << "k=" << k;
   }
 }
 
 TEST_P(SchedulerStressTest, BoundKernelSurvivesWidthChurnOversubscribed) {
   // A bound kernel's CSR pointers are shared immutable state read by every
   // worker; batch-width churn re-sizes the per-execution lane scratch but
-  // must never disturb them. One kernel, an oversubscribed pipelined team
-  // (workers descheduled mid-protocol — exactly what TSan +
-  // oversubscription provoke), widths alternating 1/16/4/16/1, every
-  // solve pinned bit-for-bit to the sequential reference.
+  // must never disturb them. One kernel on the default executor, an
+  // oversubscribed team (workers descheduled mid-protocol — exactly what
+  // TSan + oversubscription provoke), widths alternating 1/16/4/16/1,
+  // every solve pinned bit-for-bit to the sequential reference.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -290,11 +248,8 @@ TEST_P(SchedulerStressTest, BoundKernelSurvivesWidthChurnOversubscribed) {
                         std::move(val));
 
   ThreadTeam team(8);
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kPipelined;
-  opts.panel = 3;
   auto kernel = BoundKernel::lower(
-      std::make_shared<const Plan>(team, DependenceGraph(g), opts), lower);
+      std::make_shared<const Plan>(team, DependenceGraph(g)), lower);
 
   std::mt19937_64 rng(seed ^ 0xFACADE);
   std::uniform_real_distribution<real_t> dist(-4.0, 4.0);
