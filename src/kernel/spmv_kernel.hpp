@@ -11,16 +11,15 @@
 /// `BoundKernel` amortizes binding for the *plan-driven* loops (the
 /// triangular solves, whose row order is the inspector's business). SpMV
 /// has no cross-row dependences, so an `SpMVKernel` is plan-free: rows
-/// are block-partitioned over the team exactly like `par_spmv`
-/// (Appendix II §2.1's static decomposition). What binding buys is the
-/// same as for the solves — structure validation and pointer resolution
-/// happen once at setup instead of on every Krylov iteration, batched
-/// n×k products run through the same row-major `BatchView`s with one
-/// row-read for all k lanes, and the mixed-precision entry point hangs
-/// off the kernel object. With this family the *full* PCG/GMRES
-/// iteration runs through bound kernels (`SpMVKernel` for A,
-/// `IluApplyKernel` for M^{-1}); no `par_spmv` call remains in
-/// src/solver/.
+/// are block-partitioned over the team like the vector ops of
+/// sparse/parallel_ops (Appendix II §2.1's static decomposition). What
+/// binding buys is the same as for the solves — structure validation and
+/// pointer resolution happen once at setup instead of on every Krylov
+/// iteration, batched n×k products run through the same row-major
+/// `BatchView`s with one row-read for all k lanes, and the
+/// mixed-precision entry point hangs off the kernel object. With this
+/// family the *full* PCG/GMRES iteration runs through bound kernels
+/// (`SpMVKernel` for A, `IluApplyKernel` for M^{-1}).
 namespace rtl {
 
 /// y <- A x bound to one CSR matrix.
@@ -35,9 +34,9 @@ class SpMVKernel {
  public:
   [[nodiscard]] static SpMVKernel bind(const CsrMatrix& a);
 
-  /// y <- A x, single vector. Identical per-row operation order to the
-  /// free-function `par_spmv` (accumulate stored entries in order), so
-  /// results are bit-for-bit unchanged for migrated call sites.
+  /// y <- A x, single vector. Each row accumulates its stored entries in
+  /// order, as the sequential `CsrMatrix::spmv` does, so the two agree
+  /// bit for bit.
   void apply(ThreadTeam& team, std::span<const real_t> x,
              std::span<real_t> y) const;
 

@@ -15,9 +15,8 @@
 
 // Every operator application in this file runs through bound kernels:
 // `SpMVKernel` for A (bound once per driver entry, validated structure,
-// pre-resolved pointers) and the preconditioner's kernels for M^{-1}.
-// There is deliberately no `par_spmv` call left in src/solver/ — the
-// full PCG/GMRES iteration is kernel-driven, single-RHS and batched.
+// pre-resolved pointers) and the preconditioner's kernels for M^{-1}, so
+// the full PCG/GMRES iteration is kernel-driven, single-RHS and batched.
 namespace rtl {
 
 namespace {
@@ -65,6 +64,60 @@ void require_restart(const KrylovOptions& options) {
   }
 }
 
+/// Whether a CG coefficient cannot serve as a divisor: pᵀAp or ρ that is
+/// zero or not finite. The column stops before dividing by it.
+bool cg_breakdown(real_t d) { return d == 0.0 || !std::isfinite(d); }
+
+/// Applies the previous j Givens rotations to Hessenberg column j (`hj`,
+/// entries 0..j+1), then the new rotation annihilating hj[j+1], and
+/// rotates g. Returns false when step j broke down: the rotated pivot is
+/// 0, or an entry of the rotated column is not finite. cs[j], sn[j] and g
+/// are then untouched, so columns 0..j-1 still define the least-squares
+/// problem. Both GMRES drivers call it, so they break down alike.
+bool givens_step(real_t* hj, int j, std::vector<real_t>& cs,
+                 std::vector<real_t>& sn, std::vector<real_t>& g) {
+  const auto ju = static_cast<std::size_t>(j);
+  for (std::size_t i = 0; i < ju; ++i) {
+    const real_t t = cs[i] * hj[i] + sn[i] * hj[i + 1];
+    hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
+    hj[i] = t;
+  }
+  const real_t denom = std::hypot(hj[ju], hj[ju + 1]);
+  const bool finite = std::isfinite(denom) &&
+                      std::all_of(hj, hj + ju,
+                                  [](real_t v) { return std::isfinite(v); });
+  if (denom == 0.0 || !finite) return false;
+  cs[ju] = hj[ju] / denom;
+  sn[ju] = hj[ju + 1] / denom;
+  hj[ju] = denom;
+  hj[ju + 1] = 0.0;
+  g[ju + 1] = -sn[ju] * g[ju];
+  g[ju] = cs[ju] * g[ju];
+  return true;
+}
+
+/// Solves the leading jf x jf upper-triangular block of the rotated
+/// Hessenberg matrix `h` (column major, leading dimension m+1) for
+/// y[0..jf) against g. Returns false if some y is not finite (an
+/// overflow), in which case the caller must not add y to x.
+bool back_substitute(const std::vector<real_t>& h, int m,
+                     const std::vector<real_t>& g, int jf,
+                     std::vector<real_t>& y) {
+  const auto H = [&](int i, int k) {
+    return h[static_cast<std::size_t>(k * (m + 1) + i)];
+  };
+  bool finite = true;
+  for (int i = jf - 1; i >= 0; --i) {
+    real_t sum = g[static_cast<std::size_t>(i)];
+    for (int k = i + 1; k < jf; ++k) {
+      sum -= H(i, k) * y[static_cast<std::size_t>(k)];
+    }
+    y[static_cast<std::size_t>(i)] = sum / H(i, i);
+    finite = finite && std::isfinite(y[static_cast<std::size_t>(i)]);
+  }
+  return finite;
+}
+
 }  // namespace
 
 KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
@@ -99,10 +152,16 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   apply_precond(team, precond, options.mixed_precision, r, z);
   par_copy(team, z, p);
   real_t rho = par_dot(team, r, z);
+  result.breakdown = cg_breakdown(rho);
 
-  for (int it = 0; it < options.max_iterations; ++it) {
+  for (int it = 0; it < options.max_iterations && !result.breakdown; ++it) {
     spmv.apply(team, p, q);
-    const real_t alpha = rho / par_dot(team, p, q);
+    const real_t pq = par_dot(team, p, q);
+    if (cg_breakdown(pq)) {
+      result.breakdown = true;
+      break;
+    }
+    const real_t alpha = rho / pq;
     par_axpy(team, alpha, p, x);
     par_axpy(team, -alpha, q, r);
     ++result.iterations;
@@ -114,6 +173,10 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
     }
     apply_precond(team, precond, options.mixed_precision, r, z);
     const real_t rho_next = par_dot(team, r, z);
+    if (cg_breakdown(rho_next)) {
+      result.breakdown = true;
+      break;
+    }
     const real_t beta = rho_next / rho;
     rho = rho_next;
     // p = z + beta p
@@ -137,12 +200,23 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
 
   BatchBuffer r(n, k), z(n, k), p(n, k), q(n, k);
   std::vector<KrylovResult> results(ks);
-  // Columns iterate in lockstep; a column that converges (or exhausts
-  // its budget) is frozen — masked out of every state update — while
-  // the batch keeps sweeping. A frozen column's x/r/p are never touched
-  // again, so its trajectory is exactly the single-RHS driver's.
+  // Columns iterate in lockstep; a column that converges, breaks down
+  // (or exhausts its budget) is frozen — masked out of every state
+  // update — while the batch keeps sweeping. A frozen column's x/r/p are
+  // never touched again, so its trajectory is exactly the single-RHS
+  // driver's.
   std::vector<unsigned char> active(ks, 1);
   std::vector<real_t> target(ks), rnorm(ks), rho(ks), dots(ks), coef(ks);
+  int n_active = 0;
+  // Freezes active column j when d, about to become a divisor, is zero
+  // or not finite.
+  const auto stop_on_breakdown = [&](std::size_t j, real_t d) {
+    if (!active[j] || !cg_breakdown(d)) return;
+    results[j].breakdown = true;
+    results[j].residual_norm = rnorm[j];
+    active[j] = 0;
+    --n_active;
+  };
 
   // r = b - A x
   spmv.apply(team, x, r.view());
@@ -154,7 +228,6 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
     target[j] = options.rtol * (target[j] > 0.0 ? target[j] : 1.0);
   }
   par_batch_norm2(team, r.view(), rnorm);
-  int n_active = 0;
   for (std::size_t j = 0; j < ks; ++j) {
     if (rnorm[j] <= target[j]) {
       results[j].converged = true;
@@ -170,11 +243,13 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                       z.view());
   par_batch_copy(team, z.view(), p.view(), active.data());
   par_batch_dot(team, r.view(), z.view(), rho);
+  for (std::size_t j = 0; j < ks; ++j) stop_on_breakdown(j, rho[j]);
 
   for (int it = 0; it < options.max_iterations && n_active > 0; ++it) {
     spmv.apply(team, p.view(), q.view());
     par_batch_dot(team, p.view(), q.view(), dots);
     for (std::size_t j = 0; j < ks; ++j) {
+      stop_on_breakdown(j, dots[j]);
       coef[j] = active[j] ? rho[j] / dots[j] : 0.0;  // alpha
     }
     par_batch_axpy(team, coef, p.view(), x, active.data());
@@ -198,6 +273,7 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                         z.view());
     par_batch_dot(team, r.view(), z.view(), dots);  // rho_next
     for (std::size_t j = 0; j < ks; ++j) {
+      stop_on_breakdown(j, dots[j]);
       coef[j] = active[j] ? dots[j] / rho[j] : 0.0;  // beta
       if (active[j]) rho[j] = dots[j];
     }
@@ -227,13 +303,14 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
   std::vector<std::vector<real_t>> basis(
       static_cast<std::size_t>(m) + 1,
       std::vector<real_t>(static_cast<std::size_t>(n)));
+  // Step j projects against the first j+1 of these (par_mgs).
+  std::vector<const real_t*> vptr;
+  for (const auto& v : basis) vptr.push_back(v.data());
   std::vector<real_t> h(static_cast<std::size_t>((m + 1) * m), 0.0);
-  const auto H = [&](int i, int j) -> real_t& {
-    return h[static_cast<std::size_t>(j * (m + 1) + i)];
-  };
   std::vector<real_t> cs(static_cast<std::size_t>(m), 0.0);
   std::vector<real_t> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<real_t> g(static_cast<std::size_t>(m) + 1, 0.0);
+  std::vector<real_t> y(static_cast<std::size_t>(m), 0.0);
   std::vector<real_t> work(static_cast<std::size_t>(n));
   std::vector<real_t> work2(static_cast<std::size_t>(n));
 
@@ -261,61 +338,36 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     int j = 0;
     for (; j < m && result.iterations < options.max_iterations; ++j) {
       ++result.iterations;
+      const auto ju = static_cast<std::size_t>(j);
       // w = M^{-1} A v_j
-      spmv.apply(team, basis[static_cast<std::size_t>(j)], work2);
+      spmv.apply(team, basis[ju], work2);
       apply_precond(team, precond, options.mixed_precision, work2,
-                    basis[static_cast<std::size_t>(j) + 1]);
-      auto& w = basis[static_cast<std::size_t>(j) + 1];
-      // Modified Gram-Schmidt.
-      for (int i = 0; i <= j; ++i) {
-        const real_t hij =
-            par_dot(team, w, basis[static_cast<std::size_t>(i)]);
-        H(i, j) = hij;
-        par_axpy(team, -hij, basis[static_cast<std::size_t>(i)], w);
+                    basis[ju + 1]);
+      // Modified Gram-Schmidt, norm and scale: H(0..j+1, j), v_{j+1}.
+      real_t* hj = h.data() + ju * (static_cast<std::size_t>(m) + 1);
+      par_mgs(team, std::span(vptr).first(ju + 1), basis[ju + 1],
+              {hj, ju + 2});
+      if (!givens_step(hj, j, cs, sn, g)) {
+        result.breakdown = true;
+        break;
       }
-      const real_t hnext = par_norm2(team, w);
-      H(j + 1, j) = hnext;
-      if (hnext > 0.0) par_scale(team, 1.0 / hnext, w);
-
-      // Apply previous Givens rotations to the new column.
-      for (int i = 0; i < j; ++i) {
-        const real_t t = cs[static_cast<std::size_t>(i)] * H(i, j) +
-                         sn[static_cast<std::size_t>(i)] * H(i + 1, j);
-        H(i + 1, j) = -sn[static_cast<std::size_t>(i)] * H(i, j) +
-                      cs[static_cast<std::size_t>(i)] * H(i + 1, j);
-        H(i, j) = t;
-      }
-      // New rotation annihilating H(j+1, j).
-      const real_t denom = std::hypot(H(j, j), H(j + 1, j));
-      cs[static_cast<std::size_t>(j)] = denom == 0.0 ? 1.0 : H(j, j) / denom;
-      sn[static_cast<std::size_t>(j)] =
-          denom == 0.0 ? 0.0 : H(j + 1, j) / denom;
-      H(j, j) = denom;
-      H(j + 1, j) = 0.0;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-
-      if (std::abs(g[static_cast<std::size_t>(j) + 1]) <= target) {
+      if (std::abs(g[ju + 1]) <= target) {
         ++j;
         break;
       }
     }
-    // Solve the upper-triangular system H y = g and update x.
-    std::vector<real_t> y(static_cast<std::size_t>(j), 0.0);
-    for (int i = j - 1; i >= 0; --i) {
-      real_t sum = g[static_cast<std::size_t>(i)];
-      for (int k = i + 1; k < j; ++k) {
-        sum -= H(i, k) * y[static_cast<std::size_t>(k)];
-      }
-      y[static_cast<std::size_t>(i)] = sum / H(i, i);
+    // Solve H y = g over the j kept columns and update x.
+    if (!back_substitute(h, m, g, j, y)) {
+      result.breakdown = true;
+      result.residual_norm = beta;  // x is still the cycle start's
+      break;
     }
     for (int i = 0; i < j; ++i) {
       par_axpy(team, y[static_cast<std::size_t>(i)],
                basis[static_cast<std::size_t>(i)], x);
     }
     result.residual_norm = std::abs(g[static_cast<std::size_t>(j)]);
+    if (result.breakdown) break;
     if (result.residual_norm <= target) {
       result.converged = true;
       break;
@@ -398,60 +450,47 @@ void gmres_start(GmresColumn& col, int nthreads) {
 /// cycle (back-substitution, x update, convergence check) when due.
 void gmres_arnoldi(GmresColumn& col, int max_iterations, int nthreads) {
   const int j = col.j;
-  const auto ju = static_cast<std::size_t>(j);
-  auto& cs = col.cs;
-  auto& sn = col.sn;
-  auto& g = col.g;
   ++col.res.iterations;
   const auto w = col.v(j + 1);
+  real_t* hj = &col.H(0, j);
   // Modified Gram-Schmidt.
   for (int i = 0; i <= j; ++i) {
     const real_t hij = team_order_dot(w, col.v(i), nthreads);
-    col.H(i, j) = hij;
+    hj[i] = hij;
     axpy(-hij, col.v(i), w);
   }
   const real_t hnext = team_order_norm2(w, nthreads);
-  col.H(j + 1, j) = hnext;
+  hj[j + 1] = hnext;
   if (hnext > 0.0) scale(1.0 / hnext, w);
 
-  // Apply previous Givens rotations to the new column.
-  for (int i = 0; i < j; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-    const real_t t = cs[iu] * col.H(i, j) + sn[iu] * col.H(i + 1, j);
-    col.H(i + 1, j) = -sn[iu] * col.H(i, j) + cs[iu] * col.H(i + 1, j);
-    col.H(i, j) = t;
+  if (givens_step(hj, j, col.cs, col.sn, col.g)) {
+    col.j = j + 1;
+    const bool inner_break =
+        std::abs(col.g[static_cast<std::size_t>(col.j)]) <= col.target;
+    if (!inner_break && col.j < col.m &&
+        col.res.iterations < max_iterations) {
+      return;
+    }
+  } else {
+    col.res.breakdown = true;
   }
-  // New rotation annihilating H(j+1, j).
-  const real_t denom = std::hypot(col.H(j, j), col.H(j + 1, j));
-  cs[ju] = denom == 0.0 ? 1.0 : col.H(j, j) / denom;
-  sn[ju] = denom == 0.0 ? 0.0 : col.H(j + 1, j) / denom;
-  col.H(j, j) = denom;
-  col.H(j + 1, j) = 0.0;
-  g[ju + 1] = -sn[ju] * g[ju];
-  g[ju] = cs[ju] * g[ju];
 
-  const bool inner_break = std::abs(g[ju + 1]) <= col.target;
-  col.j = j + 1;
-  if (!inner_break && col.j < col.m &&
-      col.res.iterations < max_iterations) {
+  // End of cycle: back-substitute H y = g over the kept columns, update
+  // x, check.
+  const int jf = col.j;
+  if (!back_substitute(col.h, col.m, col.g, jf, col.y)) {
+    col.res.breakdown = true;
+    col.res.residual_norm = col.beta;  // x is still the cycle start's
+    col.phase = GmresColumn::Phase::kDone;
     return;
   }
-
-  // End of cycle: back-substitute H y = g, update x, check.
-  const int jf = col.j;
-  auto& y = col.y;
-  for (int i = jf - 1; i >= 0; --i) {
-    real_t sum = g[static_cast<std::size_t>(i)];
-    for (int t = i + 1; t < jf; ++t) {
-      sum -= col.H(i, t) * y[static_cast<std::size_t>(t)];
-    }
-    y[static_cast<std::size_t>(i)] = sum / col.H(i, i);
-  }
   for (int i = 0; i < jf; ++i) {
-    axpy(y[static_cast<std::size_t>(i)], col.v(i), col.x);
+    axpy(col.y[static_cast<std::size_t>(i)], col.v(i), col.x);
   }
-  col.res.residual_norm = std::abs(g[static_cast<std::size_t>(jf)]);
-  if (col.res.residual_norm <= col.target) {
+  col.res.residual_norm = std::abs(col.g[static_cast<std::size_t>(jf)]);
+  if (col.res.breakdown) {
+    col.phase = GmresColumn::Phase::kDone;
+  } else if (col.res.residual_norm <= col.target) {
     col.res.converged = true;
     col.phase = GmresColumn::Phase::kDone;
   } else if (col.res.iterations >= max_iterations) {

@@ -46,6 +46,13 @@ struct KrylovResult {
   int iterations = 0;
   /// Final (preconditioned, for GMRES/CG as implemented) residual norm.
   double residual_norm = 0.0;
+  /// The solve stopped at a breakdown, not converged: PCG met a zero or
+  /// non-finite pᵀAp or ρ (before dividing by it); GMRES met an Arnoldi
+  /// step whose rotated pivot is 0 or whose new Hessenberg entries are
+  /// not finite, and x was updated with the steps before it only (or not
+  /// at all, were that update non-finite). residual_norm belongs to the
+  /// returned x.
+  bool breakdown = false;
 };
 
 /// Preconditioned conjugate gradients for symmetric positive definite A.
@@ -60,6 +67,14 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
 /// `precond` may be null. x holds the initial guess / solution. Throws
 /// std::invalid_argument, before allocating anything, unless
 /// `options.restart >= 1` (as does the multi-RHS overload).
+///
+/// One Arnoldi step is four team regions: the SpMV, the L solve and the
+/// U solve of the preconditioner, then `par_mgs` — the whole modified
+/// Gram-Schmidt projection, norm and scale in one region with j+2
+/// barrier episodes at index j (instead of 2j+4 regions of
+/// `par_dot`/`par_axpy`/`par_norm2`/`par_scale`). `par_mgs` reproduces
+/// those ops bit for bit, so H, the basis and the iterates are what they
+/// were, and the multi-RHS overload still matches this driver exactly.
 KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                          std::span<const real_t> b, std::span<real_t> x,
                          Preconditioner* precond,

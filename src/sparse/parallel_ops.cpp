@@ -93,6 +93,60 @@ real_t par_norm2(ThreadTeam& team, std::span<const real_t> x) {
   return std::sqrt(par_dot(team, x, x));
 }
 
+void par_mgs(ThreadTeam& team, std::span<const real_t* const> v,
+             std::span<real_t> w, std::span<real_t> h) {
+  assert(!v.empty() && h.size() == v.size() + 1);
+  const std::size_t nv = v.size();
+  const auto p = static_cast<std::size_t>(team.size());
+  // Dot d's partials go to row d % 2. A member writes dot d + 2's partial
+  // only after all members arrived for dot d + 1, so after each of them
+  // read dot d's row.
+  std::vector<PaddedSum> partial(2 * p);
+  const auto n = static_cast<index_t>(w.size());
+  team.run([&](int tid) {
+    const BlockRange r = block_range(n, tid, team.size());
+    const auto b = static_cast<std::size_t>(r.begin);
+    const auto e = static_cast<std::size_t>(r.end);
+    real_t* x = w.data();
+    real_t dot = 0.0;
+    // Publishes this member's partial s of dot d, waits for the others'
+    // and sets `dot` to the p partials added to 0.0 in member order.
+    // False when the region aborted.
+    const auto reduce = [&](std::size_t d, real_t s) {
+      PaddedSum* row = partial.data() + (d % 2) * p;
+      row[static_cast<std::size_t>(tid)].value = s;
+      if (!team.barrier().arrive_and_wait()) return false;
+      dot = 0.0;
+      for (std::size_t t = 0; t < p; ++t) dot += row[t].value;
+      return true;
+    };
+
+    real_t s = 0.0;
+    for (std::size_t t = b; t < e; ++t) s += x[t] * v[0][t];
+    if (!reduce(0, s)) return;
+    for (std::size_t i = 0; i < nv; ++i) {
+      if (tid == 0) h[i] = dot;
+      // w <- w - h[i] v_i, fused with the next dot: <w, v_{i+1}>, or
+      // <w, w> after the last projection.
+      const real_t a = -dot;
+      const real_t* vi = v[i];
+      const real_t* next = i + 1 < nv ? v[i + 1] : x;
+      s = 0.0;
+      for (std::size_t t = b; t < e; ++t) {
+        x[t] += a * vi[t];
+        s += x[t] * next[t];
+      }
+      if (!reduce(i + 1, s)) return;
+    }
+    const real_t norm = std::sqrt(dot);
+    if (tid == 0) h[nv] = norm;
+    if (norm > 0.0) {
+      const real_t inv = 1.0 / norm;
+      for (std::size_t t = b; t < e; ++t) x[t] *= inv;
+    }
+  });
+}
+
 namespace {
 
 /// s[u] <- the par_dot partial of block t0 + u of `nthreads` over [0, n),
@@ -313,23 +367,6 @@ void par_promote(ThreadTeam& team, ConstBatchViewF src, BatchView dst) {
     const std::size_t hi = static_cast<std::size_t>(e) * w;
     RTL_SIMD_LOOP
     for (std::size_t t = lo; t < hi; ++t) d[t] = static_cast<real_t>(s[t]);
-  });
-}
-
-void par_spmv(ThreadTeam& team, const CsrMatrix& a, std::span<const real_t> x,
-              std::span<real_t> y) {
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  team.parallel_blocks(a.rows(), [&](int, index_t b, index_t e) {
-    for (index_t i = b; i < e; ++i) {
-      real_t sum = 0.0;
-      const auto cs = a.row_cols(i);
-      const auto vs = a.row_vals(i);
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        sum += vs[k] * x[static_cast<std::size_t>(cs[k])];
-      }
-      y[static_cast<std::size_t>(i)] = sum;
-    }
   });
 }
 

@@ -5,14 +5,14 @@
 #include "kernel/batch.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/types.hpp"
-#include "sparse/csr.hpp"
 
 /// Parallel vector and matrix kernels of the Krylov substrate.
 ///
 /// Appendix II §2.1: the easily-parallelizable procedures — SAXPYs, vector
 /// inner products, and sparse matrix-vector products — divide the indices
 /// 1..n into p contiguous groups of roughly equal size, group i going to
-/// processor i. These kernels follow that static block decomposition.
+/// processor i. These kernels follow that static block decomposition
+/// (the sparse matrix-vector product is `SpMVKernel`, kernel/spmv_kernel).
 ///
 /// The batched (`par_batch_*`) variants run the same update on every
 /// column of a row-major n×k batch in one parallel region, with
@@ -49,6 +49,21 @@ void par_scale(ThreadTeam& team, real_t a, std::span<real_t> x);
 /// Returns ||x||_2.
 [[nodiscard]] real_t par_norm2(ThreadTeam& team, std::span<const real_t> x);
 
+/// One modified Gram-Schmidt step of Arnoldi index j = v.size() - 1, as
+/// ONE team region: for i = 0..j, h[i] <- <w, v[i]> and w <- w - h[i] v[i];
+/// then h[j+1] <- ||w||_2 and, when it is positive, w <- w / h[j+1].
+/// `v` holds j+1 vectors of `w.size()` values; `h.size() == j + 2`.
+///
+/// Bit for bit the sequence `par_dot`, `par_axpy` (per projection),
+/// `par_norm2`, `par_scale` on this team: each member owns its
+/// `block_range` block, publishes one partial per dot into a padded slot
+/// and, after one barrier episode (j+2 in all; the slots alternate by
+/// parity, so no second barrier guards their reuse), adds the p partials
+/// to 0.0 in member order, as `par_dot`'s caller does. Each projection's
+/// update is fused into the next dot's pass over the block.
+void par_mgs(ThreadTeam& team, std::span<const real_t* const> v,
+             std::span<real_t> w, std::span<real_t> h);
+
 /// Returns <x, y> computed by the calling thread alone, bit for bit equal
 /// to `par_dot` on a team of `nthreads` members: one partial per
 /// `block_range(n, t, nthreads)` block, each summed in ascending order
@@ -62,10 +77,6 @@ void par_scale(ThreadTeam& team, real_t a, std::span<real_t> x);
 
 /// Returns sqrt(team_order_dot(x, x, nthreads)) — `par_norm2`'s twin.
 [[nodiscard]] real_t team_order_norm2(std::span<const real_t> x, int nthreads);
-
-/// y <- A x with rows block-partitioned over the team.
-void par_spmv(ThreadTeam& team, const CsrMatrix& a, std::span<const real_t> x,
-              std::span<real_t> y);
 
 /// y(:, j) <- a[j]*x(:, j) + y(:, j) for every column j with
 /// `active == nullptr || active[j]`.

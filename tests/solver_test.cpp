@@ -391,6 +391,7 @@ TEST(BatchedKrylovTest, PcgColumnsAreBitForBitTheSingleRhsDriver) {
     const auto& batched = results[static_cast<std::size_t>(j)];
     EXPECT_TRUE(batched.converged) << "col=" << j;
     EXPECT_EQ(batched.converged, single.converged) << "col=" << j;
+    EXPECT_EQ(batched.breakdown, single.breakdown) << "col=" << j;
     EXPECT_EQ(batched.iterations, single.iterations) << "col=" << j;
     EXPECT_EQ(batched.residual_norm, single.residual_norm) << "col=" << j;
     for (index_t i = 0; i < n; ++i) {
@@ -459,6 +460,7 @@ TEST(BatchedKrylovTest, GmresColumnsAreBitForBitTheSingleRhsDriver) {
             EXPECT_TRUE(batched.converged) << "col=" << j;
           }
           EXPECT_EQ(batched.converged, single.converged) << "col=" << j;
+          EXPECT_EQ(batched.breakdown, single.breakdown) << "col=" << j;
           EXPECT_EQ(batched.iterations, single.iterations) << "col=" << j;
           EXPECT_EQ(batched.residual_norm, single.residual_norm)
               << "col=" << j;
@@ -669,6 +671,127 @@ TEST(KrylovEdge, WarmStartFromExactSolution) {
   const auto res = gmres_solve(team, a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
+}
+
+// ---------------------------------------------------------------------
+// Breakdowns: a solve that cannot go on stops and says so. It never
+// reports convergence it did not reach, and never returns a non-finite x.
+// ---------------------------------------------------------------------
+
+enum class Method { kPcg, kGmres };
+
+struct ColumnSolve {
+  KrylovResult res;
+  std::vector<real_t> x;
+};
+
+/// Solves A x = b for each of `rhs` alone and for all of them as one
+/// batch (unpreconditioned, x0 = 0, team of 2), checks that every
+/// batched column is the single solve bit for bit, and returns the
+/// single solves.
+std::vector<ColumnSolve> solve_each_and_batched(
+    Method method, const CsrMatrix& a,
+    const std::vector<std::vector<real_t>>& rhs) {
+  ThreadTeam team(2);
+  const index_t n = a.rows();
+  const auto nz = static_cast<std::size_t>(n);
+  const auto k = static_cast<index_t>(rhs.size());
+  BatchBuffer b(n, k), x(n, k);
+  for (index_t j = 0; j < k; ++j) {
+    b.set_column(j, rhs[static_cast<std::size_t>(j)]);
+    x.set_column(j, std::vector<real_t>(nz, 0.0));
+  }
+  KrylovOptions opt;
+  opt.max_iterations = 1000;
+  const auto batched =
+      method == Method::kPcg
+          ? pcg_solve(team, a, b.view(), x.view(), nullptr, opt)
+          : gmres_solve(team, a, b.view(), x.view(), nullptr, opt);
+  std::vector<ColumnSolve> out;
+  for (index_t j = 0; j < k; ++j) {
+    const auto& bj = rhs[static_cast<std::size_t>(j)];
+    ColumnSolve one{{}, std::vector<real_t>(nz, 0.0)};
+    one.res = method == Method::kPcg
+                  ? pcg_solve(team, a, bj, one.x, nullptr, opt)
+                  : gmres_solve(team, a, bj, one.x, nullptr, opt);
+    const auto& r = batched[static_cast<std::size_t>(j)];
+    EXPECT_EQ(r.converged, one.res.converged) << "col=" << j;
+    EXPECT_EQ(r.breakdown, one.res.breakdown) << "col=" << j;
+    EXPECT_EQ(r.iterations, one.res.iterations) << "col=" << j;
+    EXPECT_EQ(r.residual_norm, one.res.residual_norm) << "col=" << j;
+    for (index_t i = 0; i < n; ++i) {
+      EXPECT_EQ(x.view().at(i, j), one.x[static_cast<std::size_t>(i)])
+          << "col=" << j << " row=" << i;
+    }
+    out.push_back(std::move(one));
+  }
+  return out;
+}
+
+TEST(KrylovBreakdown, GmresOnTheZeroMatrixLeavesXAlone) {
+  // A = 0, b = (1, 1): the first Hessenberg column is zero, so the first
+  // rotated pivot is 0. A fallback rotation used to report convergence
+  // with residual 0 and x = (inf, inf).
+  const CsrMatrix a(2, 2, {0, 1, 2}, {0, 1}, {0.0, 0.0});
+  for (const auto& s :
+       solve_each_and_batched(Method::kGmres, a, {{1.0, 1.0}, {1.0, 1.0}})) {
+    EXPECT_FALSE(s.res.converged);
+    EXPECT_TRUE(s.res.breakdown);
+    EXPECT_EQ(s.res.iterations, 1);
+    EXPECT_EQ(s.res.residual_norm, std::sqrt(2.0));
+    EXPECT_EQ(s.x, (std::vector<real_t>{0.0, 0.0}));
+  }
+}
+
+TEST(KrylovBreakdown, GmresOnTheDownShiftKeepsTheStepsBeforeIt) {
+  // A e_k = e_{k+1}, A e_4 = 0. From b = e_1 three steps reach e_4 and
+  // the fourth maps it to 0: a zero pivot at step 4 (from b = e_3, at
+  // step 2). A e_k is orthogonal to b, so the kept steps leave x = 0 and
+  // the residual at 1. The fallback rotation used to report convergence
+  // with x = NaN.
+  const CsrMatrix a(4, 4, {0, 1, 2, 3, 4}, {0, 0, 1, 2},
+                    {0.0, 1.0, 1.0, 1.0});
+  const auto s = solve_each_and_batched(
+      Method::kGmres, a, {{1.0, 0.0, 0.0, 0.0}, {0.0, 0.0, 1.0, 0.0}});
+  EXPECT_EQ(s[0].res.iterations, 4);
+  EXPECT_EQ(s[1].res.iterations, 2);
+  for (const auto& one : s) {
+    EXPECT_FALSE(one.res.converged);
+    EXPECT_TRUE(one.res.breakdown);
+    EXPECT_EQ(one.res.residual_norm, 1.0);
+    for (const real_t v : one.x) EXPECT_EQ(v, 0.0);
+  }
+}
+
+TEST(KrylovBreakdown, GmresNeverAddsAnOverflowingUpdate) {
+  // A = [2^-1040] (subnormal), b = 1: one step solves the projected
+  // problem exactly, but y = 2^1040 overflows. x stays 0 and the solve
+  // reports the cycle start's residual.
+  const CsrMatrix a(1, 1, {0, 1}, {0}, {std::ldexp(1.0, -1040)});
+  for (const auto& s : solve_each_and_batched(Method::kGmres, a, {{1.0}})) {
+    EXPECT_FALSE(s.res.converged);
+    EXPECT_TRUE(s.res.breakdown);
+    EXPECT_EQ(s.res.iterations, 1);
+    EXPECT_EQ(s.res.residual_norm, 1.0);
+    EXPECT_EQ(s.x, (std::vector<real_t>{0.0}));
+  }
+}
+
+TEST(KrylovBreakdown, PcgStopsBeforeDividingByZeroCurvature) {
+  // diag(1, -1) is indefinite. From b = (1, 1), p^T A p = 0 at once; the
+  // driver used to divide by it and spend its whole budget on NaN.
+  // b = (1, 0), in the same batch, converges in one step.
+  const CsrMatrix a(2, 2, {0, 1, 2}, {0, 1}, {1.0, -1.0});
+  const auto s =
+      solve_each_and_batched(Method::kPcg, a, {{1.0, 1.0}, {1.0, 0.0}});
+  EXPECT_FALSE(s[0].res.converged);
+  EXPECT_TRUE(s[0].res.breakdown);
+  EXPECT_EQ(s[0].res.iterations, 0);
+  EXPECT_EQ(s[0].res.residual_norm, std::sqrt(2.0));
+  EXPECT_EQ(s[0].x, (std::vector<real_t>{0.0, 0.0}));
+  EXPECT_TRUE(s[1].res.converged);
+  EXPECT_FALSE(s[1].res.breakdown);
+  EXPECT_EQ(s[1].res.iterations, 1);
 }
 
 }  // namespace

@@ -283,16 +283,6 @@ TEST_P(ParallelOpsTest, XpbyMatchesSequential) {
   EXPECT_DOUBLE_EQ(y[2], 3.0 + 15.0);
 }
 
-TEST_P(ParallelOpsTest, SpmvMatchesSequential) {
-  ThreadTeam team(GetParam());
-  const auto a = small_matrix();
-  const std::vector<real_t> x = {1.0, -1.0, 2.0};
-  std::vector<real_t> y_par(3), y_seq(3);
-  a.spmv(x, y_seq);
-  par_spmv(team, a, x, y_par);
-  for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(y_par[i], y_seq[i]);
-}
-
 TEST_P(ParallelOpsTest, TeamOrderDotIsParDotBitForBit) {
   // The sequential twin must reproduce par_dot's rounding on a team of
   // the same size exactly. Magnitudes spread over 2^±30 make any other
@@ -313,6 +303,90 @@ TEST_P(ParallelOpsTest, TeamOrderDotIsParDotBitForBit) {
         << "n=" << n;
     EXPECT_EQ(bits(team_order_norm2(x, procs)), bits(par_norm2(team, x)))
         << "n=" << n;
+  }
+}
+
+/// The op sequence par_mgs replaces: per projection par_dot then
+/// par_axpy, then par_norm2 and (when positive) par_scale.
+void mgs_by_ops(ThreadTeam& team, std::span<const real_t* const> v,
+                std::span<real_t> w, std::span<real_t> h) {
+  const std::size_t nv = v.size();
+  for (std::size_t i = 0; i < nv; ++i) {
+    const std::span<const real_t> vi(v[i], w.size());
+    h[i] = par_dot(team, w, vi);
+    par_axpy(team, -h[i], vi, w);
+  }
+  h[nv] = par_norm2(team, w);
+  if (h[nv] > 0.0) par_scale(team, 1.0 / h[nv], w);
+}
+
+TEST_P(ParallelOpsTest, MgsIsTheParOpSequenceBitForBit) {
+  // One region with one barrier per dot must give the bits of the 2j+4
+  // regions it replaces. Entries spread over 2^±30 make any other
+  // summation or update order round differently; each v_i is scaled to
+  // unit norm so 30 projections stay finite. n = 3 leaves most blocks
+  // empty, n = 0 all of them.
+  const int procs = GetParam();
+  ThreadTeam team(procs);
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<real_t> mantissa(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const auto bits = [](real_t v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto spread = [&](std::size_t n) {
+    std::vector<real_t> x(n);
+    for (auto& e : x) e = std::ldexp(mantissa(rng), exponent(rng));
+    return x;
+  };
+  for (const std::size_t n : {0, 3, 777}) {
+    for (const std::size_t j : {0, 1, 7, 29}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " j=" << j);
+      std::vector<std::vector<real_t>> basis;
+      std::vector<const real_t*> v;
+      for (std::size_t i = 0; i <= j; ++i) {
+        basis.push_back(spread(n));
+        const real_t norm = std::sqrt(
+            std::inner_product(basis[i].begin(), basis[i].end(),
+                               basis[i].begin(), 0.0));
+        for (auto& e : basis[i]) e /= norm;
+        v.push_back(basis[i].data());
+      }
+      std::vector<real_t> w = spread(n);
+      std::vector<real_t> w_ref = w;
+      std::vector<real_t> h(j + 2), h_ref(j + 2);
+      par_mgs(team, v, w, h);
+      mgs_by_ops(team, v, w_ref, h_ref);
+      for (std::size_t i = 0; i < h.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(h[i])) << "i=" << i;
+        EXPECT_EQ(bits(h[i]), bits(h_ref[i])) << "i=" << i;
+      }
+      for (std::size_t t = 0; t < n; ++t) {
+        ASSERT_EQ(bits(w[t]), bits(w_ref[t])) << "t=" << t;
+      }
+    }
+  }
+
+  // w in span(v): unit vectors project it to exactly 0, so the norm is 0
+  // and the scale is skipped.
+  const std::size_t n = 777;
+  std::vector<real_t> e5(n, 0.0), e500(n, 0.0), w(n, 0.0);
+  e5[5] = 1.0;
+  e500[500] = 1.0;
+  w[5] = 3.0;
+  w[500] = -std::ldexp(1.0, -20);
+  std::vector<real_t> w_ref = w;
+  const std::vector<const real_t*> v = {e5.data(), e500.data()};
+  std::vector<real_t> h(3), h_ref(3);
+  par_mgs(team, v, w, h);
+  mgs_by_ops(team, v, w_ref, h_ref);
+  EXPECT_EQ(h[0], 3.0);
+  EXPECT_EQ(h[1], -std::ldexp(1.0, -20));
+  EXPECT_EQ(bits(h[2]), bits(0.0));
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    EXPECT_EQ(bits(h[i]), bits(h_ref[i])) << "i=" << i;
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    ASSERT_EQ(bits(w[t]), bits(0.0)) << "t=" << t;
+    ASSERT_EQ(bits(w[t]), bits(w_ref[t])) << "t=" << t;
   }
 }
 

@@ -1,9 +1,9 @@
 // Tests for the SpMV kernel family: bind-once pointer resolution pinned
-// bit-for-bit to the free-function `par_spmv` and the sequential
-// `CsrMatrix::spmv`, batched (vectorized-lane) applies pinned to k scalar
-// single applies, and the float-storage mixed-precision path against its
-// documented error model (double accumulation means the only float
-// rounding is the final store: |y_f - y_d| <= u_f * |y_d|).
+// bit-for-bit to the sequential `CsrMatrix::spmv`, batched
+// (vectorized-lane) applies pinned to k scalar single applies, and the
+// float-storage mixed-precision path against its documented error model
+// (double accumulation means the only float rounding is the final store:
+// |y_f - y_d| <= u_f * |y_d|).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "kernel/batch.hpp"
 #include "kernel/spmv_kernel.hpp"
-#include "sparse/parallel_ops.hpp"
 #include "workload/stencil.hpp"
 
 namespace rtl {
@@ -41,13 +40,10 @@ TEST_P(SpMVKernelTest, SingleApplyMatchesParSpmvAndSequentialBitForBit) {
 
   const auto x = ramp(sys.a.cols(), 3.0);
   std::vector<real_t> y_kernel(static_cast<std::size_t>(sys.a.rows()));
-  std::vector<real_t> y_free(y_kernel.size());
   std::vector<real_t> y_seq(y_kernel.size());
   kernel.apply(team, x, y_kernel);
-  par_spmv(team, sys.a, x, y_free);
   sys.a.spmv(x, y_seq);
-  // Same per-row accumulation order everywhere: bit-for-bit.
-  EXPECT_EQ(y_kernel, y_free);
+  // Same per-row accumulation order: bit-for-bit.
   EXPECT_EQ(y_kernel, y_seq);
 }
 

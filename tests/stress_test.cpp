@@ -320,6 +320,8 @@ TEST(KrylovStressTest, BatchedGmresColumnsMatchSingleRhsAtEveryTeamSize) {
             << "procs=" << p << " k=" << k << " col=" << j;
         ASSERT_EQ(results[ju].converged, ref[ju].converged)
             << "procs=" << p << " k=" << k << " col=" << j;
+        ASSERT_EQ(results[ju].breakdown, ref[ju].breakdown)
+            << "procs=" << p << " k=" << k << " col=" << j;
         ASSERT_EQ(results[ju].residual_norm, ref[ju].residual_norm)
             << "procs=" << p << " k=" << k << " col=" << j;
         for (index_t i = 0; i < n; ++i) {
