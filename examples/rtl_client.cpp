@@ -7,7 +7,7 @@
 // default, or an uploaded Matrix Market file), then runs R repeats of a
 // pipelined burst of K single-RHS solve requests — the burst shape is
 // what gives the server's aggregator something to coalesce. Prints
-// client-observed burst latency percentiles, a FNV-1a checksum over every
+// client-observed burst latency percentiles, an XXH64 checksum over every
 // solution (bit-for-bit reproducible across runs and server restarts:
 // solves are deterministic and the right-hand sides are fixed), and with
 // --metrics the server's own metrics snapshot — including
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/plan_io.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/latency_histogram.hpp"
 #include "runtime/timer.hpp"
 #include "service/client.hpp"
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     }
 
     LatencyHistogram burst_latency;
-    std::uint64_t checksum = 14695981039346656037ull;
+    Hash64 checksum;
     std::uint64_t solved = 0;
     std::uint64_t rejected = 0;
     for (int r = 0; r < repeats; ++r) {
@@ -136,9 +136,8 @@ int main(int argc, char** argv) {
       for (const auto& outcome : outcomes) {
         if (outcome.ok) {
           ++solved;
-          checksum = checksum * 1099511628211ull ^
-                     fnv1a64(outcome.x.data(),
-                             outcome.x.size() * sizeof(real_t));
+          checksum.update(outcome.x.data(),
+                          outcome.x.size() * sizeof(real_t));
         } else if (outcome.error == ServiceErrc::kRejected) {
           ++rejected;  // admission backpressure: expected under load
         } else {
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
     std::printf("rtl_client: burst latency p50 %.3f ms, p99 %.3f ms\n",
                 lat.percentile_ms(50.0), lat.percentile_ms(99.0));
     std::printf("rtl_client: result checksum %016llx\n",
-                static_cast<unsigned long long>(checksum));
+                static_cast<unsigned long long>(checksum.digest()));
 
     if (want_metrics) {
       const ServiceMetrics m = client.metrics();

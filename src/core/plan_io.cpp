@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/plan.hpp"
+#include "runtime/hash.hpp"
 
 namespace rtl {
 
@@ -38,22 +39,10 @@ struct PlanRestorer {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /// Sanity ceiling on the processor count: far above any real team, low
 /// enough that a corrupted header cannot drive the phase_ptr size past
 /// what the size pre-check can reject.
 constexpr std::uint32_t kMaxNproc = 1u << 22;
-
-std::uint64_t fnv_accum(std::uint64_t h, const unsigned char* p,
-                        std::size_t len) noexcept {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 [[noreturn]] void fail(PlanIoErrc code, const std::string& what) {
   throw PlanIoError(code, "plan_io: " + what + " (" +
@@ -66,7 +55,7 @@ class Sink {
   explicit Sink(std::ostream& out) : out_(out) {}
 
   void bytes(const void* p, std::size_t len) {
-    hash_ = fnv_accum(hash_, static_cast<const unsigned char*>(p), len);
+    hash_.update(p, len);
     out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(len));
   }
   void u8(std::uint8_t v) { bytes(&v, 1); }
@@ -93,11 +82,11 @@ class Sink {
     for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
     out_.write(reinterpret_cast<const char*>(b), 8);
   }
-  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_.digest(); }
 
  private:
   std::ostream& out_;
-  std::uint64_t hash_ = kFnvOffset;
+  Hash64 hash_;
 };
 
 /// Checksumming little-endian decoder over an istream. Every short read
@@ -111,7 +100,7 @@ class Source {
     if (static_cast<std::size_t>(in_.gcount()) != len) {
       fail(PlanIoErrc::kTruncated, "unexpected end of stream");
     }
-    hash_ = fnv_accum(hash_, static_cast<const unsigned char*>(p), len);
+    hash_.update(p, len);
   }
   std::uint8_t u8() {
     std::uint8_t v = 0;
@@ -154,11 +143,11 @@ class Source {
     for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
     return v;
   }
-  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_.digest(); }
 
  private:
   std::istream& in_;
-  std::uint64_t hash_ = kFnvOffset;
+  Hash64 hash_;
 };
 
 /// Header fields as read from the stream, before interpretation.
@@ -319,10 +308,6 @@ const char* plan_io_errc_name(PlanIoErrc code) noexcept {
     case PlanIoErrc::kIoError: return "io_error";
   }
   return "unknown";
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t len) noexcept {
-  return fnv_accum(kFnvOffset, static_cast<const unsigned char*>(data), len);
 }
 
 void save_plan(const Plan& plan, std::ostream& out) {

@@ -21,8 +21,9 @@
 /// inspector run can serve every process (and every replica) that sees the
 /// same sparsity.
 ///
-/// Format v1 (all integers little-endian; index arrays are `index_t` =
-/// int32 elements):
+/// Format v2 (all integers little-endian; index arrays are `index_t` =
+/// int32 elements). v1 had the same layout but an FNV-1a trailer and
+/// FNV-1a fingerprints; a v1 image is refused as kUnsupportedVersion.
 ///
 ///   offset  size  field
 ///   0       8     magic "RTLPLAN\0"
@@ -49,7 +50,8 @@
 ///   schedule proc_ptr nproc + 1
 ///   schedule phase_ptr nproc * (num_phases + 1)
 ///   -- trailer --
-///   u64   FNV-1a checksum of every preceding byte (magic included)
+///   u64   XXH64 checksum (runtime/hash.hpp) of every preceding byte,
+///         magic included
 ///
 /// `load_plan` treats its input as untrusted: every header field, the
 /// checksum, and all CSR invariants (monotone pointer arrays, in-range
@@ -67,10 +69,11 @@ namespace rtl {
 class Plan;
 
 /// Current on-disk format version. Bump procedure: see the golden-fixture
-/// test in tests/plan_io_test.cpp — any layout change must (1) increment
-/// this constant, (2) regenerate tests/data/golden_plan_v1.rtlplan under a
-/// new name, and (3) keep rejecting files whose stored version differs.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+/// test in tests/plan_io_test.cpp — any change to the bytes of an image
+/// (layout, checksum or fingerprint) must (1) increment this constant,
+/// (2) write tests/data/golden_plan_v<V>.rtlplan next to the older
+/// fixtures, and (3) keep rejecting files whose stored version differs.
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
 /// Leading magic bytes ("RTLPLAN\0").
 inline constexpr unsigned char kPlanMagic[8] = {'R', 'T', 'L', 'P',
@@ -106,13 +109,7 @@ class PlanIoError : public std::runtime_error {
   PlanIoErrc code_;
 };
 
-/// FNV-1a over a byte range (the checksum primitive of the trailer; offset
-/// basis 14695981039346656037, prime 1099511628211). Exposed so tests can
-/// re-seal a deliberately patched image.
-[[nodiscard]] std::uint64_t fnv1a64(const void* data,
-                                    std::size_t len) noexcept;
-
-/// Serialize `plan` to `out` in format v1. Throws PlanIoError(kIoError)
+/// Serialize `plan` to `out` in format v2. Throws PlanIoError(kIoError)
 /// when the stream reports failure.
 void save_plan(const Plan& plan, std::ostream& out);
 

@@ -1,7 +1,10 @@
 #include "graph/dependence_graph.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+
+#include "runtime/hash.hpp"
 
 namespace rtl {
 
@@ -45,38 +48,38 @@ DependenceGraph DependenceGraph::from_lists(
 
 namespace {
 
-/// FNV-1a, 64-bit.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-/// kFnvPrime^4 (mod 2^64): four FNV-1a steps over zero bytes, since
-/// xoring in a zero byte leaves h unchanged and only the multiply remains.
-constexpr std::uint64_t kFnvPrime4 =
-    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
-
-/// FNV-1a over the eight little-endian bytes of `v` zero-extended to 64
-/// bits: the four low bytes one at a time, the four zero high bytes as one
-/// multiply by p^4. Bit-identical to the byte-wise loop for every index
-/// the graph holds (all are non-negative).
-std::uint64_t fnv1a(std::uint64_t h, index_t v) noexcept {
-  const auto word = static_cast<std::uint32_t>(v);
-  for (int byte = 0; byte < 4; ++byte) {
-    h ^= (word >> (8 * byte)) & 0xffu;
-    h *= kFnvPrime;
+/// Feed `v` to `h` as 4-byte little-endian elements.
+void hash_indices(Hash64& h, std::span<const index_t> v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    h.update(v.data(), v.size_bytes());
+  } else {
+    for (const index_t x : v) {
+      const auto u = static_cast<std::uint32_t>(x);
+      const unsigned char b[4] = {
+          static_cast<unsigned char>(u), static_cast<unsigned char>(u >> 8),
+          static_cast<unsigned char>(u >> 16),
+          static_cast<unsigned char>(u >> 24)};
+      h.update(b, 4);
+    }
   }
-  return h * kFnvPrime4;
 }
 
 }  // namespace
 
 std::uint64_t DependenceGraph::fingerprint() const noexcept {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, n_);
+  Hash64 h;
+  unsigned char n_bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    n_bytes[i] = static_cast<unsigned char>(static_cast<std::uint64_t>(n_) >>
+                                            (8 * i));
+  }
+  h.update(n_bytes, 8);
   // ptr_ is fully determined by n_ and the per-row degree deltas the adj_
   // walk reflects, but hashing it keeps the fingerprint sensitive to empty
   // rows at either end and costs one pass.
-  for (const index_t v : ptr_) h = fnv1a(h, v);
-  for (const index_t v : adj_) h = fnv1a(h, v);
-  return h;
+  hash_indices(h, ptr_);
+  hash_indices(h, adj_);
+  return h.digest();
 }
 
 bool DependenceGraph::is_forward_only() const noexcept {

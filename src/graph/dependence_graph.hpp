@@ -57,10 +57,11 @@ class DependenceGraph {
   /// start-time-schedulable shape produced by a sequential source loop.
   [[nodiscard]] bool is_forward_only() const noexcept;
 
-  /// Deterministic 64-bit structure fingerprint (FNV-1a over n and the CSR
-  /// arrays). Stable across processes and platforms for the fixed-width
-  /// `index_t`; the `rtl::Runtime` plan cache keys on it together with the
-  /// vertex and edge counts.
+  /// Deterministic 64-bit structure fingerprint: XXH64 (runtime/hash.hpp)
+  /// of the 8 little-endian bytes of n, then `ptr` and `adj` as 4-byte
+  /// little-endian elements. Stable across processes and platforms; the
+  /// `rtl::Runtime` plan cache keys on it together with the vertex and
+  /// edge counts.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
   /// Reverse the graph: successor lists instead of predecessor lists.

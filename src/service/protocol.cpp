@@ -3,7 +3,7 @@
 #include <bit>
 #include <cstring>
 
-#include "core/plan_io.hpp"
+#include "runtime/hash.hpp"
 
 namespace rtl {
 
@@ -432,7 +432,7 @@ std::vector<unsigned char> encode_message(const ServiceMessage& msg) {
     out[12 + static_cast<std::size_t>(i)] =
         static_cast<unsigned char>(payload_len >> (8 * i));
   }
-  w.u64(fnv1a64(out.data(), out.size()));
+  w.u64(hash64(out.data(), out.size()));
   return out;
 }
 
@@ -485,7 +485,7 @@ ServiceMessage parse_message(std::span<const unsigned char> frame) {
     fail(ServiceErrc::kTrailingData, "bytes beyond the frame trailer");
   }
   const std::size_t body = kFrameHeaderBytes + h.payload_len;
-  const std::uint64_t computed = fnv1a64(frame.data(), body);
+  const std::uint64_t computed = hash64(frame.data(), body);
   std::uint64_t stored = 0;
   for (int i = 0; i < 8; ++i) {
     stored |= std::uint64_t{frame[body + static_cast<std::size_t>(i)]}

@@ -23,7 +23,7 @@
 ///   8       u32   message type (MessageType)
 ///   12      u64   payload length in bytes
 ///   20      ...   payload (layout per message type, all little-endian)
-///   20+len  u64   FNV-1a checksum of every preceding byte
+///   20+len  u64   XXH64 checksum (runtime/hash.hpp) of every preceding byte
 ///
 /// Parsing follows the same untrusted-input discipline as core/plan_io:
 /// the header is validated before the payload is interpreted, the payload
@@ -41,7 +41,9 @@
 namespace rtl {
 
 inline constexpr unsigned char kServiceMagic[4] = {'R', 'T', 'L', 'S'};
-inline constexpr std::uint32_t kServiceProtocolVersion = 1;
+/// Version 1 sealed frames with FNV-1a; a v1 frame is refused as
+/// kUnsupportedVersion.
+inline constexpr std::uint32_t kServiceProtocolVersion = 2;
 
 /// Bytes before the payload: magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 20;

@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <iterator>
+#include <system_error>
 #include <utility>
 
 namespace rtl {
@@ -53,8 +55,16 @@ ServiceServer::ServiceServer(SolveService& service, std::string socket_path,
 
 ServiceServer::~ServiceServer() { stop(); }
 
+std::size_t ServiceServer::live_sessions() const {
+  const std::lock_guard<std::mutex> lock(sessions_mutex_);
+  return sessions_.size();
+}
+
 void ServiceServer::listen_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
+    // Every pass either accepts or follows a 100 ms poll timeout, so this
+    // runs before each accept and on each tick.
+    reap_finished_sessions();
     try {
       if (!wait_readable(listener_, 100)) continue;
       Socket sock = accept_unix(listener_);
@@ -63,16 +73,40 @@ void ServiceServer::listen_loop() {
       const std::lock_guard<std::mutex> lock(sessions_mutex_);
       if (stopped_ || stopping_.load(std::memory_order_relaxed)) break;
       accepted_.fetch_add(1, std::memory_order_relaxed);
-      writers_.push_back(writer);
-      session_threads_.emplace_back(
-          [this, writer = std::move(writer)]() mutable {
-            session_loop(std::move(writer));
-          });
+      Session& session = sessions_.emplace_back();
+      session.writer = writer;
+      try {
+        session.thread =
+            std::thread([this, &session, writer = std::move(writer)]() mutable {
+              session_loop(std::move(writer));
+              session.finished.store(true, std::memory_order_release);
+            });
+      } catch (const std::system_error&) {
+        // No thread for this connection: dropping its only writer closes
+        // the socket, and the listener keeps serving the others.
+        sessions_.pop_back();
+      }
     } catch (const ServiceError&) {
       if (!stopping_.load(std::memory_order_relaxed)) continue;
       break;
     }
   }
+}
+
+void ServiceServer::reap_finished_sessions() {
+  std::list<Session> finished;
+  {
+    const std::lock_guard<std::mutex> lock(sessions_mutex_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const auto next = std::next(it);
+      if (it->finished.load(std::memory_order_acquire)) {
+        finished.splice(finished.end(), sessions_, it);
+      }
+      it = next;
+    }
+  }
+  // Each of these threads has left its loop; the joins return at once.
+  for (Session& session : finished) session.thread.join();
 }
 
 void ServiceServer::session_loop(std::shared_ptr<SessionWriter> writer) {
@@ -161,24 +195,20 @@ void ServiceServer::stop() {
   //    are written through still-open writers.
   service_.shutdown();
   // 3+4. Wake blocked readers and join them.
-  std::vector<std::thread> threads;
-  std::vector<std::weak_ptr<SessionWriter>> writers;
+  std::list<Session> sessions;
   {
     const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    threads.swap(session_threads_);
-    writers.swap(writers_);
+    sessions.swap(sessions_);
   }
-  for (auto& weak : writers) {
-    if (const auto writer = weak.lock()) {
+  for (const Session& session : sessions) {
+    if (const auto writer = session.writer.lock()) {
       const std::lock_guard<std::mutex> lock(writer->mutex);
       if (writer->sock.valid()) {
         ::shutdown(writer->sock.fd(), SHUT_RDWR);
       }
     }
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Session& session : sessions) session.thread.join();
 }
 
 }  // namespace rtl

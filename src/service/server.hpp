@@ -1,17 +1,24 @@
 #pragma once
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/socket.hpp"
 #include "service/solve_service.hpp"
 
 /// Socket front-end for a `SolveService`: one listener thread accepting
 /// Unix-domain connections, one reader thread per connection.
+///
+/// A reader thread marks its session finished when its loop ends (the
+/// peer closed, or sent a malformed frame). The listener joins finished
+/// threads and forgets their writers before each accept and on each
+/// 100 ms poll tick, so a closed connection holds no thread or stack for
+/// longer than one tick. If a reader thread cannot be created, that one
+/// connection is closed and the listener keeps going.
 ///
 /// Each connection is one service session. The reader parses frames and
 /// dispatches them into the service; completion callbacks (running on the
@@ -53,6 +60,11 @@ class ServiceServer {
     return accepted_.load(std::memory_order_relaxed);
   }
 
+  /// Connections whose reader thread has not been joined yet: the open
+  /// ones, plus closed ones the listener has not reaped (at most one poll
+  /// tick old).
+  [[nodiscard]] std::size_t live_sessions() const;
+
   /// Graceful shutdown (see file comment). Idempotent; also run by the
   /// destructor.
   void stop();
@@ -72,7 +84,16 @@ class ServiceServer {
     void send(const ServiceMessage& msg) noexcept;
   };
 
+  /// One accepted connection: its reader thread and its reply writer.
+  struct Session {
+    std::thread thread;
+    std::weak_ptr<SessionWriter> writer;
+    std::atomic<bool> finished{false};  // set by the reader as it exits
+  };
+
   void listen_loop();
+  /// Join the reader threads of finished sessions and drop their entries.
+  void reap_finished_sessions();
   void session_loop(std::shared_ptr<SessionWriter> writer);
   /// Dispatch one parsed request into the service. Admission failures and
   /// per-request errors become ErrorMsg replies; never throws.
@@ -86,10 +107,9 @@ class ServiceServer {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
 
-  std::mutex sessions_mutex_;
-  std::vector<std::thread> session_threads_;          // guarded by sessions_mutex_
-  std::vector<std::weak_ptr<SessionWriter>> writers_;  // guarded by sessions_mutex_
-  bool stopped_ = false;                               // guarded by sessions_mutex_
+  mutable std::mutex sessions_mutex_;
+  std::list<Session> sessions_;  // guarded by sessions_mutex_
+  bool stopped_ = false;         // guarded by sessions_mutex_
 };
 
 }  // namespace rtl

@@ -13,18 +13,22 @@
 //      non-normalized options always throw a typed `PlanIoError` — never
 //      a crash, hang, or a malformed plan. Random instances honor
 //      RTL_TEST_SEED (failures print the replay seed).
-//   3. Golden fixture: tests/data/golden_plan_v1.rtlplan, produced once
+//   3. Golden fixtures: tests/data/golden_plan_v2.rtlplan, produced once
 //      from a hand-built 12-node DAG, must keep loading with exactly the
 //      recorded statistics and must re-serialize byte-identically, so any
-//      accidental layout change is caught against bytes committed to the
-//      repository rather than against the code's own round trip.
+//      accidental change to the bytes (layout, checksum, fingerprint) is
+//      caught against bytes committed to the repository rather than
+//      against the code's own round trip. The older golden_plan_v1.rtlplan
+//      stays as a refusal pin: it must be rejected as kUnsupportedVersion.
 //
-// Format-version bump procedure (see kPlanFormatVersion): a layout change
-// must (1) increment kPlanFormatVersion, (2) regenerate the golden file as
-// tests/data/golden_plan_v<V>.rtlplan from the same hand-built DAG below
-// and update kGoldenFile plus the recorded stats, and (3) extend
-// FutureVersionRejected so images stamped with the *previous* version are
-// now the ones rejected.
+// Format-version bump procedure (see kPlanFormatVersion): a change to the
+// bytes of an image must (1) increment kPlanFormatVersion, (2) write the
+// golden file tests/data/golden_plan_v<V>.rtlplan from the same hand-built
+// DAG below (save_plan of a Plan built on a team of 3 with
+// `.execution = ExecutionPolicy::kSelfExecuting`), point kGoldenFile at it
+// and re-check the recorded stats, and (3) add the previous fixture to the
+// refusal pin, so images stamped with the *previous* version are now the
+// ones rejected.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,7 @@
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
 #include "graph/dependence_graph.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/thread_team.hpp"
 #include "test_rng.hpp"
 
@@ -140,7 +145,7 @@ PlanIoErrc load_errc(const std::string& image) {
 /// reaches the validation stage *behind* the checksum.
 void reseal(std::string& image) {
   ASSERT_GE(image.size(), 8u);
-  const std::uint64_t sum = fnv1a64(image.data(), image.size() - 8);
+  const std::uint64_t sum = hash64(image.data(), image.size() - 8);
   for (int i = 0; i < 8; ++i) {
     image[image.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<char>(sum >> (8 * i));
@@ -478,7 +483,7 @@ TEST(PlanIoCorruption, ErrcNamesAreStable) {
 // 3. Golden fixture
 // ---------------------------------------------------------------------------
 
-/// The hand-built DAG behind tests/data/golden_plan_v1.rtlplan: 12 nodes,
+/// The hand-built DAG behind tests/data/golden_plan_v*.rtlplan: 12 nodes,
 /// 16 edges, 8 wavefronts of width <= 2. Any change to this function
 /// invalidates the fixture — regenerate it (see the bump procedure in the
 /// file header) rather than editing the expectations.
@@ -498,7 +503,18 @@ DependenceGraph golden_dag() {
 }
 
 constexpr const char* kGoldenFile =
-    RTL_SOURCE_DIR "/tests/data/golden_plan_v1.rtlplan";
+    RTL_SOURCE_DIR "/tests/data/golden_plan_v2.rtlplan";
+
+TEST(PlanIoGolden, V1FixtureIsRefusedAsUnsupportedVersion) {
+  // The v1 image (FNV-1a trailer and fingerprint) must be refused by its
+  // version field, before its checksum is read.
+  std::ifstream in(RTL_SOURCE_DIR "/tests/data/golden_plan_v1.rtlplan",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing v1 fixture";
+  const std::string file_bytes((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_EQ(load_errc(file_bytes), PlanIoErrc::kUnsupportedVersion);
+}
 
 TEST(PlanIoGolden, FixtureLoadsWithRecordedStats) {
   std::ifstream in(kGoldenFile, std::ios::binary);

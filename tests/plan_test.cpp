@@ -12,6 +12,7 @@
 
 #include "core/plan.hpp"
 #include "core/runtime.hpp"
+#include "runtime/hash.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "workload/problems.hpp"
 #include "workload/synthetic.hpp"
@@ -263,35 +264,29 @@ TEST(PlanConcurrency, TwoTeamsExecuteTheSameSharedPlanSimultaneously) {
   EXPECT_EQ(xb, expected);
 }
 
-/// FNV-1a-64 fed one byte at a time, each index widened to a
-/// little-endian u64 — the fingerprint's definition, kept here as the
-/// reference the library's folded loop must reproduce bit for bit.
-std::uint64_t bytewise_fingerprint(const DependenceGraph& g) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto word = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+TEST(Fingerprint, IsXxh64OfNThenPtrAndAdj) {
+  // The definition: XXH64 of n as 8 little-endian bytes, then ptr and adj
+  // as 4-byte little-endian elements.
+  const auto definition = [](const DependenceGraph& g) {
+    std::vector<unsigned char> bytes;
+    const auto put = [&bytes](std::uint64_t v, int width) {
+      for (int b = 0; b < width; ++b) {
+        bytes.push_back(static_cast<unsigned char>(v >> (8 * b)));
+      }
+    };
+    put(static_cast<std::uint64_t>(g.size()), 8);
+    for (const index_t v : g.ptr()) put(static_cast<std::uint32_t>(v), 4);
+    for (const index_t v : g.adj()) put(static_cast<std::uint32_t>(v), 4);
+    return hash64(bytes.data(), bytes.size());
   };
-  word(static_cast<std::uint64_t>(g.size()));
-  for (const index_t v : g.ptr()) word(static_cast<std::uint64_t>(v));
-  for (const index_t v : g.adj()) word(static_cast<std::uint64_t>(v));
-  return h;
-}
-
-TEST(Fingerprint, FoldedHashEqualsByteWiseFnv1a) {
-  EXPECT_EQ(DependenceGraph().fingerprint(),
-            bytewise_fingerprint(DependenceGraph()));
-  EXPECT_EQ(DependenceGraph::from_lists({}).fingerprint(),
-            bytewise_fingerprint(DependenceGraph::from_lists({})));
+  EXPECT_EQ(DependenceGraph().fingerprint(), definition(DependenceGraph()));
   for (const index_t n : {1, 2, 17, 256, 5000}) {
     const auto g = SimpleLoop::make(n, 90 + static_cast<unsigned>(n))
                        .dependences();
-    EXPECT_EQ(g.fingerprint(), bytewise_fingerprint(g)) << "n=" << n;
+    EXPECT_EQ(g.fingerprint(), definition(g)) << "n=" << n;
   }
   const auto mesh = synthetic_dependences(SyntheticSpec{});
-  EXPECT_EQ(mesh.fingerprint(), bytewise_fingerprint(mesh));
+  EXPECT_EQ(mesh.fingerprint(), definition(mesh));
 }
 
 TEST(Fingerprint, DeterministicAndStructureSensitive) {

@@ -1,5 +1,5 @@
 // Tests for the runtime substrate: thread team, barrier, ready flags,
-// spin waits, block partitioning — plus the
+// spin waits, block partitioning, the XXH64 hash — plus the
 // `Runtime` plan cache's on-disk tier (lookup order memory LRU → disk →
 // inspector, atomic write-back, reject-and-reinspect of invalid images).
 
@@ -8,9 +8,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "graph/dependence_graph.hpp"
 #include "kernel/bound_kernel.hpp"
 #include "runtime/barrier.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/ready_flags.hpp"
 #include "runtime/spin_wait.hpp"
 #include "runtime/thread_team.hpp"
@@ -281,6 +284,67 @@ TEST(ThreadTeamCounters, AccumulateAndReset) {
   EXPECT_EQ(z.flag_publishes, 0u);
   EXPECT_EQ(z.steals, 0u);
   EXPECT_EQ(z.barrier_waits, 0u);
+}
+
+TEST(Hash64Test, KnownAnswers) {
+  // XXH64, seed 0. The 39-byte input is long enough for the four-lane
+  // stripe path.
+  const struct {
+    const char* input;
+    std::uint64_t digest;
+  } cases[] = {
+      {"", 0xef46db3751d8e999ull},
+      {"a", 0xd24ec4f1a98c6e5bull},
+      {"abc", 0x44bc2cf5ad770999ull},
+      {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(hash64(c.input, std::strlen(c.input)), c.digest)
+        << "\"" << c.input << "\"";
+  }
+}
+
+std::vector<unsigned char> hash_test_bytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  return bytes;
+}
+
+TEST(Hash64Test, StreamingEqualsOneShotAtEverySplit) {
+  const std::vector<unsigned char> bytes = hash_test_bytes(1000);
+  const std::uint64_t one_shot = hash64(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    Hash64 h;
+    h.update(bytes.data(), split);
+    h.update(bytes.data() + split, bytes.size() - split);
+    ASSERT_EQ(h.digest(), one_shot) << "split at " << split;
+  }
+  // Byte by byte, reading the digest midway without disturbing the state.
+  Hash64 h;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    h.update(&bytes[i], 1);
+    if (i == 500) {
+      EXPECT_EQ(h.digest(), hash64(bytes.data(), 501));
+    }
+  }
+  EXPECT_EQ(h.digest(), one_shot);
+}
+
+TEST(Hash64Test, EverySingleBitFlipChangesTheDigest) {
+  std::vector<unsigned char> bytes = hash_test_bytes(4096);
+  const std::uint64_t pristine = hash64(bytes.data(), bytes.size());
+  std::set<std::uint64_t> digests{pristine};
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[byte] ^= static_cast<unsigned char>(1u << bit);
+      digests.insert(hash64(bytes.data(), bytes.size()));
+      bytes[byte] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+  // Every flip gave a digest unlike the pristine one and unlike each other.
+  EXPECT_EQ(digests.size(), 1 + bytes.size() * 8);
 }
 
 TEST(WallTimerTest, MeasuresNonNegativeDurations) {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <limits>
+#include <thread>
 
-#include "core/plan_io.hpp"
+#include "runtime/hash.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/solve_service.hpp"
@@ -146,7 +148,7 @@ std::vector<unsigned char> sample_frame() {
 /// corruption under test is reached instead of the checksum tripping first.
 void reseal(std::vector<unsigned char>& frame) {
   const std::size_t body = frame.size() - kFrameTrailerBytes;
-  const std::uint64_t sum = fnv1a64(frame.data(), body);
+  const std::uint64_t sum = hash64(frame.data(), body);
   for (int i = 0; i < 8; ++i) {
     frame[body + static_cast<std::size_t>(i)] =
         static_cast<unsigned char>(sum >> (8 * i));
@@ -175,6 +177,16 @@ TEST(ServiceProtocolTest, BadMagicRejected) {
 TEST(ServiceProtocolTest, WrongVersionRejected) {
   std::vector<unsigned char> frame = sample_frame();
   frame[4] = static_cast<unsigned char>(kServiceProtocolVersion + 1);
+  expect_errc(ServiceErrc::kUnsupportedVersion,
+              [&] { (void)parse_message(frame); });
+}
+
+TEST(ServiceProtocolTest, V1FrameIsRefusedAsUnsupportedVersion) {
+  // Protocol 1 sealed frames with FNV-1a. A v1-stamped frame with a
+  // coherent trailer is refused by its version, not by its checksum.
+  std::vector<unsigned char> frame = sample_frame();
+  frame[4] = 1;
+  reseal(frame);
   expect_errc(ServiceErrc::kUnsupportedVersion,
               [&] { (void)parse_message(frame); });
 }
@@ -704,6 +716,45 @@ TEST(ServiceTransportTest, NonFiniteInputsGetTypedErrorRepliesAndSessionSurvives
   client.upload_matrix(3, system.a, 0);
   EXPECT_EQ(client.solve(3, rhs[0]), reference[0]);
   server.stop();
+}
+
+TEST(ServiceTransportTest, ClosedConnectionsAreReaped) {
+  // Each closed connection's reader thread is joined by the listener, so
+  // connect/close churn leaves no thread (and no stack) behind.
+  ServiceConfig config = test_config();
+  config.manual_drain = false;
+  SolveService service(config);
+  const std::string path =
+      testing::TempDir() + "/rtl_service_churn_" +
+      std::to_string(::getpid()) + ".sock";
+  ServiceServer server(service, path);
+
+  constexpr int kCycles = 200;
+  for (int c = 0; c < kCycles; ++c) connect_unix(path).close();
+  const auto wait_for = [](auto done, std::chrono::milliseconds limit) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+  };
+  ASSERT_TRUE(wait_for(
+      [&] { return server.connections_accepted() == kCycles; },
+      std::chrono::seconds(10)))
+      << server.connections_accepted() << " of " << kCycles << " accepted";
+  EXPECT_TRUE(wait_for([&] { return server.live_sessions() == 0; },
+                       std::chrono::seconds(1)))
+      << server.live_sessions() << " sessions still live";
+  EXPECT_EQ(server.connections_accepted(), std::uint64_t{kCycles});
+
+  ServiceClient client(path);
+  client.open_workload(1, "5pt:8", 0);
+  const LinearSystem system = service_workload("5pt:8");
+  const std::vector<real_t> rhs = make_rhs(system.a.rows(), 0);
+  EXPECT_EQ(client.solve(1, rhs), reference_solves(system, 0, {rhs})[0]);
+  EXPECT_EQ(server.live_sessions(), 1u);
+  server.stop();
+  EXPECT_EQ(service.metrics().sessions_closed, std::uint64_t{kCycles + 1});
 }
 
 TEST(ServiceTransportTest, MalformedFrameGetsTypedErrorReply) {
