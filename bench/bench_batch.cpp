@@ -25,13 +25,13 @@
 // the batch width (docs/PERF.md).
 //
 // The SpMV kernel family gets its own `spmv_k*` sweep, verified
-// bit-for-bit against k single applies; the float32-storage apply
-// (`batch_f32_k16_*`) and the column gather/scatter micro-records round
-// out the set. Each kernel record carries its roofline bytes-touched
-// model (`*_bytes`) and achieved bandwidth (`*_gbps`, informational
-// units — not gated). The RTL_REORDER knob (none/rcm/wavefront) permutes
-// the case matrices before factoring and is stamped into the JSON config
-// so compared runs are always apples-to-apples.
+// bit-for-bit against k single applies; the column gather/scatter
+// micro-records round out the set. Each kernel record carries its
+// roofline bytes-touched model (`*_bytes`) and achieved bandwidth
+// (`*_gbps`, informational units — not gated). The RTL_REORDER knob
+// (none/rcm/wavefront) permutes the case matrices before factoring and is
+// stamped into the JSON config so compared runs are always
+// apples-to-apples.
 
 #include <cctype>
 #include <cstdio>
@@ -232,37 +232,11 @@ int main() {
       std::printf(" %10.4f", batch_ms.min / static_cast<double>(k));
     }
 
-    // Float32-storage batched apply at the widest batch: same sweep,
-    // half the per-lane traffic (double accumulation inside the rows).
-    {
-      const index_t k = 16;
-      BatchBufferF frhs(n, k), fx(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        std::vector<float> col(nz);
-        for (index_t i = 0; i < n; ++i) {
-          col[static_cast<std::size_t>(i)] = static_cast<float>(
-              rhs[static_cast<std::size_t>(i)] *
-              (1.0 + 0.25 * static_cast<real_t>(j)));
-        }
-        frhs.set_column(j, col);
-      }
-      const Stats f32_ms = measure_ms(reps, [&] {
-        solver.solve(team, frhs.view(), fx.view());
-      });
-      const double fbytes = static_cast<double>(
-          solver.kernel().lower().bytes_per_solve(k, sizeof(float)) +
-          solver.kernel().upper().bytes_per_solve(k, sizeof(float)));
-      report.add(c.name, "batch_f32_k16_solve_ms", f32_ms);
-      report.add_scalar(c.name, "batch_f32_k16_ms_per_rhs",
-                        f32_ms.mean / static_cast<double>(k), "ms-derived");
-      report.add_scalar(c.name, "batch_f32_k16_bytes", fbytes, "bytes");
-      report.add_scalar(c.name, "batch_f32_k16_gbps",
-                        fbytes / (f32_ms.min * 1e6), "GB/s");
-    }
-
     // Column gather/scatter micro-bench: the strided batch<->vector
-    // round-trip the batched Krylov drivers ride per tick (GMRES per-column
-    // post-processing). Vectorized strided loops in kernel/batch.hpp.
+    // round-trip of `SolveService::flush_group` and the default
+    // `Preconditioner::apply_batch` (the Krylov drivers move columns with
+    // `par_pack_columns`/`par_unpack_columns` instead). Vectorized strided
+    // loops in kernel/batch.hpp.
     {
       const index_t k = 16;
       BatchBuffer buf(n, k);

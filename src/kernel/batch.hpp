@@ -17,51 +17,45 @@
 /// matrix row (cols/vals) is read once for all k right-hand sides. The
 /// per-wavefront synchronization — one barrier per phase, one ready-flag
 /// publish per row — is paid once regardless of k.
-///
-/// The views are templated on the storage scalar: `BatchView` et al. are
-/// the `real_t` (double) workhorses; the `float` aliases (`BatchViewF`,
-/// ...) carry the mixed-precision storage path — float32 in memory,
-/// double accumulation inside the kernel row sweeps (see
-/// kernel/bound_kernel.cpp and docs/ARCHITECTURE.md "Kernel dispatch").
 namespace rtl {
 
-/// Read-only view of a row-major n×k batch with storage scalar T.
-template <typename T>
-class BasicConstBatchView {
+/// Read-only view of a row-major n×k batch.
+class ConstBatchView {
  public:
-  using value_type = T;
-
-  BasicConstBatchView() = default;
+  ConstBatchView() = default;
   /// View `data` as n rows of k values; data must hold n*k elements.
-  BasicConstBatchView(const T* data, index_t n, index_t k) noexcept
+  ConstBatchView(const real_t* data, index_t n, index_t k) noexcept
       : data_(data), n_(n), k_(k) {
     assert(n >= 0 && k >= 1);
   }
   /// A single vector is a batch of width 1.
-  explicit BasicConstBatchView(std::span<const T> vec) noexcept
-      : BasicConstBatchView(vec.data(), static_cast<index_t>(vec.size()), 1) {}
+  explicit ConstBatchView(std::span<const real_t> vec) noexcept
+      : ConstBatchView(vec.data(), static_cast<index_t>(vec.size()), 1) {}
 
-  [[nodiscard]] const T* data() const noexcept { return data_; }
+  [[nodiscard]] const real_t* data() const noexcept { return data_; }
   [[nodiscard]] index_t rows() const noexcept { return n_; }
   [[nodiscard]] index_t width() const noexcept { return k_; }
   /// The k-wide strip of row i (contiguous).
-  [[nodiscard]] const T* row(index_t i) const noexcept {
+  [[nodiscard]] const real_t* row(index_t i) const noexcept {
     assert(i >= 0 && i < n_);
     return data_ + static_cast<std::size_t>(i) * static_cast<std::size_t>(k_);
   }
-  [[nodiscard]] T at(index_t i, index_t j) const noexcept {
+  [[nodiscard]] real_t at(index_t i, index_t j) const noexcept {
     assert(j >= 0 && j < k_);
     return row(i)[j];
   }
 
   /// Gather column j into `vec` (vec.size() must equal rows()). The
-  /// stride-k loads vectorize as a strided gather (hot on the batched
-  /// Krylov path, where per-column state round-trips through batches).
-  void get_column(index_t j, std::span<T> vec) const {
+  /// stride-k loads vectorize as a strided gather. Sequential: the
+  /// Krylov drivers move columns with the team-parallel
+  /// `par_pack_columns`/`par_unpack_columns` (sparse/parallel_ops.hpp);
+  /// in the library this serves `SolveService::flush_group` and the
+  /// default `Preconditioner::apply_batch`.
+  void get_column(index_t j, std::span<real_t> vec) const {
     assert(static_cast<index_t>(vec.size()) == n_ && j >= 0 && j < k_);
-    const T* src = data_ + static_cast<std::size_t>(j);
+    const real_t* src = data_ + static_cast<std::size_t>(j);
     const std::size_t w = static_cast<std::size_t>(k_);
-    T* dst = vec.data();
+    real_t* dst = vec.data();
     RTL_SIMD_LOOP
     for (index_t i = 0; i < n_; ++i) {
       dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i) * w];
@@ -69,43 +63,40 @@ class BasicConstBatchView {
   }
 
  private:
-  const T* data_ = nullptr;
+  const real_t* data_ = nullptr;
   index_t n_ = 0;
   index_t k_ = 1;
 };
 
-/// Mutable view of a row-major n×k batch with storage scalar T.
-template <typename T>
-class BasicBatchView {
+/// Mutable view of a row-major n×k batch.
+class BatchView {
  public:
-  using value_type = T;
-
-  BasicBatchView() = default;
-  BasicBatchView(T* data, index_t n, index_t k) noexcept
+  BatchView() = default;
+  BatchView(real_t* data, index_t n, index_t k) noexcept
       : data_(data), n_(n), k_(k) {
     assert(n >= 0 && k >= 1);
   }
-  explicit BasicBatchView(std::span<T> vec) noexcept
-      : BasicBatchView(vec.data(), static_cast<index_t>(vec.size()), 1) {}
+  explicit BatchView(std::span<real_t> vec) noexcept
+      : BatchView(vec.data(), static_cast<index_t>(vec.size()), 1) {}
 
-  [[nodiscard]] T* data() const noexcept { return data_; }
+  [[nodiscard]] real_t* data() const noexcept { return data_; }
   [[nodiscard]] index_t rows() const noexcept { return n_; }
   [[nodiscard]] index_t width() const noexcept { return k_; }
-  [[nodiscard]] T* row(index_t i) const noexcept {
+  [[nodiscard]] real_t* row(index_t i) const noexcept {
     assert(i >= 0 && i < n_);
     return data_ + static_cast<std::size_t>(i) * static_cast<std::size_t>(k_);
   }
-  [[nodiscard]] T& at(index_t i, index_t j) const noexcept {
+  [[nodiscard]] real_t& at(index_t i, index_t j) const noexcept {
     assert(j >= 0 && j < k_);
     return row(i)[j];
   }
 
   /// Scatter `vec` into column j (vec.size() must equal rows()).
-  void set_column(index_t j, std::span<const T> vec) const {
+  void set_column(index_t j, std::span<const real_t> vec) const {
     assert(static_cast<index_t>(vec.size()) == n_ && j >= 0 && j < k_);
-    T* dst = data_ + static_cast<std::size_t>(j);
+    real_t* dst = data_ + static_cast<std::size_t>(j);
     const std::size_t w = static_cast<std::size_t>(k_);
-    const T* src = vec.data();
+    const real_t* src = vec.data();
     RTL_SIMD_LOOP
     for (index_t i = 0; i < n_; ++i) {
       dst[static_cast<std::size_t>(i) * w] = src[static_cast<std::size_t>(i)];
@@ -113,30 +104,27 @@ class BasicBatchView {
   }
 
   /// Gather column j into `vec` (vec.size() must equal rows()).
-  void get_column(index_t j, std::span<T> vec) const {
-    BasicConstBatchView<T>(*this).get_column(j, vec);
+  void get_column(index_t j, std::span<real_t> vec) const {
+    ConstBatchView(*this).get_column(j, vec);
   }
 
   /// Implicit read-only view of the same storage.
-  operator BasicConstBatchView<T>() const noexcept {  // NOLINT(google-explicit-constructor)
+  operator ConstBatchView() const noexcept {  // NOLINT(google-explicit-constructor)
     return {data_, n_, k_};
   }
 
  private:
-  T* data_ = nullptr;
+  real_t* data_ = nullptr;
   index_t n_ = 0;
   index_t k_ = 1;
 };
 
 /// Owning row-major n×k batch storage with column gather/scatter helpers
 /// for interoperating with plain per-vector code.
-template <typename T>
-class BasicBatchBuffer {
+class BatchBuffer {
  public:
-  using value_type = T;
-
-  BasicBatchBuffer() = default;
-  BasicBatchBuffer(index_t n, index_t k) { resize(n, k); }
+  BatchBuffer() = default;
+  BatchBuffer(index_t n, index_t k) { resize(n, k); }
 
   /// Resize to n rows × k columns (contents unspecified afterwards).
   void resize(index_t n, index_t k) {
@@ -148,55 +136,25 @@ class BasicBatchBuffer {
 
   [[nodiscard]] index_t rows() const noexcept { return n_; }
   [[nodiscard]] index_t width() const noexcept { return k_; }
-  [[nodiscard]] BasicBatchView<T> view() noexcept {
-    return {data_.data(), n_, k_};
-  }
-  [[nodiscard]] BasicConstBatchView<T> view() const noexcept {
+  [[nodiscard]] BatchView view() noexcept { return {data_.data(), n_, k_}; }
+  [[nodiscard]] ConstBatchView view() const noexcept {
     return {data_.data(), n_, k_};
   }
 
   /// Copy vector `vec` into column j (vec.size() must equal rows()).
-  void set_column(index_t j, std::span<const T> vec) {
+  void set_column(index_t j, std::span<const real_t> vec) {
     view().set_column(j, vec);
   }
 
   /// Copy column j out into `vec` (vec.size() must equal rows()).
-  void get_column(index_t j, std::span<T> vec) const {
+  void get_column(index_t j, std::span<real_t> vec) const {
     view().get_column(j, vec);
   }
 
  private:
   index_t n_ = 0;
   index_t k_ = 1;
-  std::vector<T> data_;
+  std::vector<real_t> data_;
 };
-
-/// Double-precision working batch types (the default throughout).
-using ConstBatchView = BasicConstBatchView<real_t>;
-using BatchView = BasicBatchView<real_t>;
-using BatchBuffer = BasicBatchBuffer<real_t>;
-
-/// Float32-*storage* batch types for the mixed-precision path. Kernel
-/// arithmetic on these still accumulates in double (see
-/// kernel/bound_kernel.cpp); only what is stored between rows is float.
-using ConstBatchViewF = BasicConstBatchView<float>;
-using BatchViewF = BasicBatchView<float>;
-using BatchBufferF = BasicBatchBuffer<float>;
-
-/// Elementwise storage-precision conversion (round-to-nearest on demote).
-/// Sequential; the team-parallel variants live in sparse/parallel_ops.hpp
-/// (`par_demote` / `par_promote`) for the hot refinement path.
-template <typename From, typename To>
-void convert_batch(BasicConstBatchView<From> src, BasicBatchView<To> dst) {
-  assert(src.rows() == dst.rows() && src.width() == dst.width());
-  const std::size_t total = static_cast<std::size_t>(src.rows()) *
-                            static_cast<std::size_t>(src.width());
-  const From* s = src.data();
-  To* d = dst.data();
-  RTL_SIMD_LOOP
-  for (std::size_t t = 0; t < total; ++t) {
-    d[t] = static_cast<To>(s[t]);
-  }
-}
 
 }  // namespace rtl

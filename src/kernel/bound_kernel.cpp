@@ -69,14 +69,12 @@ struct UpperSolveBody {
 };
 
 // The batched bodies process each row's lanes in fixed-size chunks of
-// double accumulators so the float32-storage path accumulates in double
-// with the *same* unit-stride inner loops as the double path. For
-// T = real_t the chunked form performs, per lane, exactly the operation
-// sequence of the single-RHS body (initialize from rhs, subtract matrix
-// entries in storage order, divide by the diagonal last) — each step is
-// the identically-rounded double op — so batched results stay
-// bit-for-bit equal to k single solves whether the accumulator lives in
-// a register chunk or in x itself.
+// local accumulators, so a row's running sums live in the chunk, not in
+// x, across its stored entries. Per lane the chunked form performs
+// exactly the operation sequence of the single-RHS body (initialize from
+// rhs, subtract matrix entries in storage order, divide by the diagonal
+// last) — each step is the identically-rounded double op — so batched
+// results stay bit-for-bit equal to k single solves.
 inline constexpr std::size_t kLaneChunk = 32;
 
 // One inner lane loop over a chunk of m lanes. `omp simd` (when compiled
@@ -91,42 +89,40 @@ inline constexpr std::size_t kLaneChunk = 32;
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
 /// all k right-hand sides.
-template <typename T>
 struct LowerSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
   const real_t* val;
-  const T* rhs;
-  T* x;
+  const real_t* rhs;
+  real_t* x;
   index_t k;
 
   void operator()(index_t i) const {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
     const std::size_t w = static_cast<std::size_t>(k);
-    T* xi = x + static_cast<std::size_t>(i) * w;
-    const T* ri = rhs + static_cast<std::size_t>(i) * w;
+    real_t* xi = x + static_cast<std::size_t>(i) * w;
+    const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     real_t acc[kLaneChunk];
     for (std::size_t c = 0; c < w; c += kLaneChunk) {
       const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+      RTL_LANE_LOOP(acc[jj] = ri[c + jj])
       for (std::size_t t = b; t < e; ++t) {
         const real_t v = val[t];
-        const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * static_cast<real_t>(xd[jj]))
+        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
+        RTL_LANE_LOOP(acc[jj] -= v * xd[jj])
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj]))
+      RTL_LANE_LOOP(xi[c + jj] = acc[jj])
     }
   }
 };
 
-template <typename T>
 struct UpperSolveBatchBody {
   const index_t* row_ptr;
   const index_t* col;
   const real_t* val;
-  const T* rhs;
-  T* x;
+  const real_t* rhs;
+  real_t* x;
   index_t n;
   index_t k;
 
@@ -135,19 +131,19 @@ struct UpperSolveBatchBody {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
     const std::size_t w = static_cast<std::size_t>(k);
-    T* xi = x + static_cast<std::size_t>(i) * w;
-    const T* ri = rhs + static_cast<std::size_t>(i) * w;
+    real_t* xi = x + static_cast<std::size_t>(i) * w;
+    const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
     const real_t d = val[b];
     real_t acc[kLaneChunk];
     for (std::size_t c = 0; c < w; c += kLaneChunk) {
       const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = static_cast<real_t>(ri[c + jj]))
+      RTL_LANE_LOOP(acc[jj] = ri[c + jj])
       for (std::size_t t = b + 1; t < e; ++t) {
         const real_t v = val[t];
-        const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * static_cast<real_t>(xd[jj]))
+        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
+        RTL_LANE_LOOP(acc[jj] -= v * xd[jj])
       }
-      RTL_LANE_LOOP(xi[c + jj] = static_cast<T>(acc[jj] / d))
+      RTL_LANE_LOOP(xi[c + jj] = acc[jj] / d)
     }
   }
 };
@@ -256,35 +252,20 @@ void BoundKernel::solve(ThreadTeam& team, std::span<const real_t> rhs,
   }
 }
 
-template <typename T>
-void BoundKernel::solve_batch_impl(ThreadTeam& team,
-                                   BasicConstBatchView<T> rhs,
-                                   BasicBatchView<T> x) {
+void BoundKernel::solve(ThreadTeam& team, ConstBatchView rhs, BatchView x) {
   assert(rhs.rows() == n_ && x.rows() == n_);
   assert(rhs.width() == x.width());
   const index_t k = rhs.width();
-  if (kind_ == KernelKind::kLowerSolve) {
-    plan_->execute(team, LowerSolveBatchBody<T>{row_ptr_, col_, val_,
-                                                rhs.data(), x.data(), k});
-  } else {
-    plan_->execute(team, UpperSolveBatchBody<T>{row_ptr_, col_, val_,
-                                                rhs.data(), x.data(), n_, k});
-  }
-}
-
-void BoundKernel::solve(ThreadTeam& team, ConstBatchView rhs, BatchView x) {
-  if (rhs.width() == 1) {  // skip the k-strip arithmetic on the classic shape
+  if (k == 1) {  // skip the k-strip arithmetic on the classic shape
     solve(team, {rhs.data(), static_cast<std::size_t>(n_)},
           {x.data(), static_cast<std::size_t>(n_)});
-    return;
+  } else if (kind_ == KernelKind::kLowerSolve) {
+    plan_->execute(team, LowerSolveBatchBody{row_ptr_, col_, val_,
+                                             rhs.data(), x.data(), k});
+  } else {
+    plan_->execute(team, UpperSolveBatchBody{row_ptr_, col_, val_,
+                                             rhs.data(), x.data(), n_, k});
   }
-  solve_batch_impl<real_t>(team, rhs, x);
-}
-
-void BoundKernel::solve(ThreadTeam& team, ConstBatchViewF rhs, BatchViewF x) {
-  // No float single-RHS special case: width-1 float batches run the
-  // batched body (the chunked double accumulator IS the mixed path).
-  solve_batch_impl<float>(team, rhs, x);
 }
 
 IluApplyKernel::IluApplyKernel(BoundKernel lower_solve,
@@ -319,17 +300,6 @@ void IluApplyKernel::apply(ThreadTeam& team, ConstBatchView r, BatchView z) {
     tmp_.resize(size(), r.width());
   }
   BatchView tmp{tmp_.view().data(), size(), r.width()};
-  lower_.solve(team, r, tmp);
-  upper_.solve(team, tmp, z);
-}
-
-void IluApplyKernel::apply(ThreadTeam& team, ConstBatchViewF r,
-                           BatchViewF z) {
-  assert(r.width() == z.width());
-  if (tmpf_.rows() != size() || tmpf_.width() < r.width()) {
-    tmpf_.resize(size(), r.width());
-  }
-  BatchViewF tmp{tmpf_.view().data(), size(), r.width()};
   lower_.solve(team, r, tmp);
   upper_.solve(team, tmp, z);
 }

@@ -78,25 +78,17 @@ class BoundKernel {
   /// single-RHS solves.
   void solve(ThreadTeam& team, ConstBatchView rhs, BatchView x);
 
-  /// Mixed-precision batched solve: float32 *storage*, double
-  /// accumulation inside every row sweep (each lane's dot product is
-  /// formed in double; only the per-row results are rounded to float).
-  /// The matrix values stay double — this is a storage-bandwidth
-  /// optimization, not a float factorization.
-  void solve(ThreadTeam& team, ConstBatchViewF rhs, BatchViewF x);
-
-  /// Bytes touched by one batched solve at width k with storage scalar
-  /// of `elem_bytes` — the roofline traffic model for bench records:
+  /// Bytes touched by one batched solve at width k — the roofline
+  /// traffic model for bench records:
   /// the CSR structure (row_ptr + cols) and values read once, plus per
   /// lane the rhs read, the x write, and one dependency load per stored
   /// entry. Assumes no cache reuse (worst-case traffic).
-  [[nodiscard]] std::size_t bytes_per_solve(
-      index_t k, std::size_t elem_bytes = sizeof(real_t)) const noexcept {
+  [[nodiscard]] std::size_t bytes_per_solve(index_t k) const noexcept {
     const auto n = static_cast<std::size_t>(n_);
     const auto nz = static_cast<std::size_t>(nnz_);
     const auto w = static_cast<std::size_t>(k);
     return (n + 1 + nz) * sizeof(index_t) + nz * sizeof(real_t) +
-           (2 * n + nz) * w * elem_bytes;
+           (2 * n + nz) * w * sizeof(real_t);
   }
 
   [[nodiscard]] KernelKind kind() const noexcept { return kind_; }
@@ -112,10 +104,6 @@ class BoundKernel {
  private:
   BoundKernel(std::shared_ptr<const Plan> plan, const CsrMatrix& matrix,
               KernelKind kind);
-
-  template <typename T>
-  void solve_batch_impl(ThreadTeam& team, BasicConstBatchView<T> rhs,
-                        BasicBatchView<T> x);
 
   std::shared_ptr<const Plan> plan_;
   // Pre-resolved CSR spans (stable: CSR arrays never move after binding;
@@ -149,12 +137,6 @@ class IluApplyKernel {
   /// Batched apply: z(:, j) <- U^{-1} L^{-1} r(:, j) for every column.
   void apply(ThreadTeam& team, ConstBatchView r, BatchView z);
 
-  /// Mixed-precision batched apply: float32 storage end-to-end (r, the
-  /// intermediate L^{-1} r, and z), double accumulation in both row
-  /// sweeps. This is the preconditioner half of the iterative-refinement
-  /// story: the Krylov driver keeps residuals/inner products in double.
-  void apply(ThreadTeam& team, ConstBatchViewF r, BatchViewF z);
-
   /// Always 0: there is no execution layout. Kept only because the
   /// bench/e2e program still reports it.
   [[nodiscard]] std::size_t layout_bytes() const noexcept { return 0; }
@@ -169,7 +151,6 @@ class IluApplyKernel {
   BoundKernel lower_;
   BoundKernel upper_;
   BatchBuffer tmp_;  // intermediate L^{-1} r, grown to the widest batch seen
-  BatchBufferF tmpf_;  // float intermediate for the mixed-precision apply
 };
 
 }  // namespace rtl

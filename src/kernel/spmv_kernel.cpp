@@ -15,8 +15,8 @@ namespace {
   throw std::invalid_argument("SpMVKernel::bind: " + what);
 }
 
-// Chunked-lane row product, mirroring the bound-solve bodies: double
-// accumulators regardless of the storage scalar T, lane loops under
+// Chunked-lane row product, mirroring the bound-solve bodies: each row's
+// lanes accumulate in a chunk of kLaneChunk registers, lane loops under
 // `omp simd` when compiled in (kernel/simd.hpp). Per lane the
 // accumulation order is exactly the single-vector row sum (stored entries
 // in order), so batched equals k singles bit-for-bit.
@@ -26,25 +26,24 @@ inline constexpr std::size_t kLaneChunk = 32;
   RTL_SIMD_LOOP                                                 \
   for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }
 
-template <typename T>
 void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
-               const T* x, T* y, index_t k, index_t row_begin,
+               const real_t* x, real_t* y, index_t k, index_t row_begin,
                index_t row_end) {
   const std::size_t w = static_cast<std::size_t>(k);
   real_t acc[kLaneChunk];
   for (index_t i = row_begin; i < row_end; ++i) {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
-    T* yi = y + static_cast<std::size_t>(i) * w;
+    real_t* yi = y + static_cast<std::size_t>(i) * w;
     for (std::size_t c = 0; c < w; c += kLaneChunk) {
       const std::size_t m = std::min(kLaneChunk, w - c);
       RTL_LANE_LOOP(acc[jj] = 0.0)
       for (std::size_t t = b; t < e; ++t) {
         const real_t v = val[t];
-        const T* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] += v * static_cast<real_t>(xd[jj]))
+        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
+        RTL_LANE_LOOP(acc[jj] += v * xd[jj])
       }
-      RTL_LANE_LOOP(yi[c + jj] = static_cast<T>(acc[jj]))
+      RTL_LANE_LOOP(yi[c + jj] = acc[jj])
     }
   }
 }
@@ -111,30 +110,18 @@ void SpMVKernel::apply(ThreadTeam& team, std::span<const real_t> x,
   });
 }
 
-template <typename T>
-void SpMVKernel::apply_batch_impl(ThreadTeam& team,
-                                  BasicConstBatchView<T> x,
-                                  BasicBatchView<T> y) const {
+void SpMVKernel::apply(ThreadTeam& team, ConstBatchView x, BatchView y) const {
   assert(x.rows() == cols_ && y.rows() == rows_);
   assert(x.width() == y.width());
   const index_t k = x.width();
   const index_t* row_ptr = row_ptr_;
   const index_t* col = col_;
   const real_t* val = val_;
-  const T* xp = x.data();
-  T* yp = y.data();
+  const real_t* xp = x.data();
+  real_t* yp = y.data();
   team.parallel_blocks(rows_, [=](int, index_t b, index_t e) {
-    spmv_rows<T>(row_ptr, col, val, xp, yp, k, b, e);
+    spmv_rows(row_ptr, col, val, xp, yp, k, b, e);
   });
-}
-
-void SpMVKernel::apply(ThreadTeam& team, ConstBatchView x, BatchView y) const {
-  apply_batch_impl<real_t>(team, x, y);
-}
-
-void SpMVKernel::apply(ThreadTeam& team, ConstBatchViewF x,
-                       BatchViewF y) const {
-  apply_batch_impl<float>(team, x, y);
 }
 
 }  // namespace rtl

@@ -16,10 +16,9 @@
 /// binding buys is the same as for the solves — structure validation and
 /// pointer resolution happen once at setup instead of on every Krylov
 /// iteration, batched n×k products run through the same row-major
-/// `BatchView`s with one row-read for all k lanes, and the
-/// mixed-precision entry point hangs off the kernel object. With this
-/// family the *full* PCG/GMRES iteration runs through bound kernels
-/// (`SpMVKernel` for A, `IluApplyKernel` for M^{-1}).
+/// `BatchView`s with one row-read for all k lanes. With this family the
+/// *full* PCG/GMRES iteration runs through bound kernels (`SpMVKernel`
+/// for A, `IluApplyKernel` for M^{-1}).
 namespace rtl {
 
 /// y <- A x bound to one CSR matrix.
@@ -45,10 +44,6 @@ class SpMVKernel {
   /// single applies (same per-lane accumulation order).
   void apply(ThreadTeam& team, ConstBatchView x, BatchView y) const;
 
-  /// Mixed-precision batched product: float32 storage for x and y,
-  /// double accumulation of every row sum (matrix values stay double).
-  void apply(ThreadTeam& team, ConstBatchViewF x, BatchViewF y) const;
-
   [[nodiscard]] index_t rows() const noexcept { return rows_; }
   [[nodiscard]] index_t cols() const noexcept { return cols_; }
   [[nodiscard]] index_t nnz() const noexcept { return nnz_; }
@@ -57,21 +52,16 @@ class SpMVKernel {
   /// + values once, then per lane one x load per stored entry and one y
   /// store per row. No-cache-reuse worst case, like
   /// `BoundKernel::bytes_per_solve`.
-  [[nodiscard]] std::size_t bytes_per_apply(
-      index_t k, std::size_t elem_bytes = sizeof(real_t)) const noexcept {
+  [[nodiscard]] std::size_t bytes_per_apply(index_t k) const noexcept {
     const auto n = static_cast<std::size_t>(rows_);
     const auto nz = static_cast<std::size_t>(nnz_);
     const auto w = static_cast<std::size_t>(k);
     return (n + 1 + nz) * sizeof(index_t) + nz * sizeof(real_t) +
-           (n + nz) * w * elem_bytes;
+           (n + nz) * w * sizeof(real_t);
   }
 
  private:
   SpMVKernel(const CsrMatrix& a);
-
-  template <typename T>
-  void apply_batch_impl(ThreadTeam& team, BasicConstBatchView<T> x,
-                        BasicBatchView<T> y) const;
 
   // Pre-resolved CSR spans; stable for the lifetime of the binding.
   const index_t* row_ptr_ = nullptr;

@@ -1,7 +1,5 @@
 #include "solver/ilu_preconditioner.hpp"
 
-#include "sparse/parallel_ops.hpp"
-
 namespace rtl {
 
 namespace {
@@ -25,21 +23,8 @@ IluPreconditioner::IluPreconditioner(Runtime& rt, const CsrMatrix& a,
     : ilu_(a, level) {
   factor_plan_ = rt.plan_for(ilu_.row_dependences(), options);
   solver_ = std::make_unique<ParallelTriangularSolver>(rt, ilu_, options);
-  init_workspaces(rt.size());
-}
-
-IluPreconditioner::IluPreconditioner(ThreadTeam& team, const CsrMatrix& a,
-                                     int level, DoconsiderOptions options)
-    : ilu_(a, level) {
-  factor_plan_ = std::make_shared<const Plan>(team, ilu_.row_dependences(),
-                                              options);
-  solver_ = std::make_unique<ParallelTriangularSolver>(team, ilu_, options);
-  init_workspaces(team.size());
-}
-
-void IluPreconditioner::init_workspaces(int team_size) {
-  workspaces_.reserve(static_cast<std::size_t>(team_size));
-  for (int t = 0; t < team_size; ++t) workspaces_.emplace_back(ilu_.size());
+  workspaces_.reserve(static_cast<std::size_t>(rt.size()));
+  for (int t = 0; t < rt.size(); ++t) workspaces_.emplace_back(ilu_.size());
 }
 
 void IluPreconditioner::factor(ThreadTeam& team, const CsrMatrix& a) {
@@ -54,21 +39,6 @@ void IluPreconditioner::apply(ThreadTeam& team, std::span<const real_t> r,
 void IluPreconditioner::apply_batch(ThreadTeam& team, ConstBatchView r,
                                     BatchView z) {
   solver_->solve(team, r, z);
-}
-
-void IluPreconditioner::apply_batch_mixed(ThreadTeam& team, ConstBatchView r,
-                                          BatchView z) {
-  const index_t n = r.rows();
-  const index_t k = r.width();
-  if (mixed_r_.rows() != n || mixed_r_.width() < k) {
-    mixed_r_.resize(n, k);
-    mixed_z_.resize(n, k);
-  }
-  BatchViewF rf{mixed_r_.view().data(), n, k};
-  BatchViewF zf{mixed_z_.view().data(), n, k};
-  par_demote(team, r, rf);
-  solver_->solve(team, static_cast<ConstBatchViewF>(rf), zf);
-  par_promote(team, static_cast<ConstBatchViewF>(zf), z);
 }
 
 }  // namespace rtl

@@ -23,18 +23,15 @@ namespace rtl {
 /// triangular solves, then binds the solve kernels once; `factor()` runs
 /// the parallel numeric factorization (Figure 13's loop parallelized
 /// exactly like the solve) and may be called again whenever A's values
-/// change — the bound kernels see the new values in place. Built on a
-/// `Runtime`, the inspectors come from its structure-keyed plan cache, so
+/// change — the bound kernels see the new values in place. The
+/// inspectors come from the `Runtime`'s structure-keyed plan cache, so
 /// rebuilding a preconditioner for a matrix with unchanged sparsity skips
-/// them entirely.
+/// them entirely (a `Runtime` of capacity 0 with no directory runs them
+/// every time).
 class IluPreconditioner : public Preconditioner {
  public:
   /// Symbolic phase + cached inspectors for `a` with fill level `level`.
   IluPreconditioner(Runtime& rt, const CsrMatrix& a, int level,
-                    DoconsiderOptions options = {});
-
-  /// Uncached variant: run the inspectors directly on `team`.
-  IluPreconditioner(ThreadTeam& team, const CsrMatrix& a, int level,
                     DoconsiderOptions options = {});
 
   /// Parallel numeric factorization of `a` over the fixed pattern.
@@ -50,14 +47,6 @@ class IluPreconditioner : public Preconditioner {
   /// synchronization once regardless of k.
   void apply_batch(ThreadTeam& team, ConstBatchView r, BatchView z) override;
 
-  /// The true float32-storage apply: demote r to float on the team, run
-  /// both triangular sweeps through the float kernel bodies (double
-  /// accumulation per lane), promote the float result back. Halves the
-  /// batch traffic of the two solves; the storage rounding is bounded by
-  /// the error model in docs/ARCHITECTURE.md.
-  void apply_batch_mixed(ThreadTeam& team, ConstBatchView r,
-                         BatchView z) override;
-
   [[nodiscard]] const IluFactorization& factors() const noexcept {
     return ilu_;
   }
@@ -70,16 +59,10 @@ class IluPreconditioner : public Preconditioner {
   }
 
  private:
-  void init_workspaces(int team_size);
-
   IluFactorization ilu_;
   std::shared_ptr<const Plan> factor_plan_;
   std::unique_ptr<ParallelTriangularSolver> solver_;
   std::vector<IluFactorization::Workspace> workspaces_;
-  // Float staging for the mixed-precision apply, grown to the widest
-  // batch seen (like IluApplyKernel's intermediate).
-  BatchBufferF mixed_r_;
-  BatchBufferF mixed_z_;
 };
 
 }  // namespace rtl

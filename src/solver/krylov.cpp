@@ -21,37 +21,26 @@ namespace rtl {
 
 namespace {
 
-/// z <- M^{-1} r, or z <- r when no preconditioner is supplied. With
-/// `mixed`, the application routes through the float32-storage path
-/// (`apply_batch_mixed`) as a width-1 batch; the caller's arithmetic
-/// around it stays double.
-void apply_precond(ThreadTeam& team, Preconditioner* m, bool mixed,
+/// z <- M^{-1} r, or z <- r when no preconditioner is supplied.
+void apply_precond(ThreadTeam& team, Preconditioner* m,
                    std::span<const real_t> r, std::span<real_t> z) {
   if (m == nullptr) {
     par_copy(team, r, z);
     return;
   }
-  if (mixed) {
-    m->apply_batch_mixed(team, ConstBatchView(r), BatchView(z));
-  } else {
-    m->apply(team, r, z);
-  }
+  m->apply(team, r, z);
 }
 
 /// Batched z(:, j) <- M^{-1} r(:, j). Frozen columns are applied too
 /// (lanes are cheaper than a masked kernel sweep); their z lanes are
 /// scratch the caller never reads.
-void apply_precond_batch(ThreadTeam& team, Preconditioner* m, bool mixed,
+void apply_precond_batch(ThreadTeam& team, Preconditioner* m,
                          ConstBatchView r, BatchView z) {
   if (m == nullptr) {
     par_batch_copy(team, r, z);
     return;
   }
-  if (mixed) {
-    m->apply_batch_mixed(team, r, z);
-  } else {
-    m->apply_batch(team, r, z);
-  }
+  m->apply_batch(team, r, z);
 }
 
 /// GMRES(m) needs m >= 1: with m = 0 no Arnoldi step ever runs (the
@@ -149,7 +138,7 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
     return result;
   }
 
-  apply_precond(team, precond, options.mixed_precision, r, z);
+  apply_precond(team, precond, r, z);
   par_copy(team, z, p);
   real_t rho = par_dot(team, r, z);
   result.breakdown = cg_breakdown(rho);
@@ -171,7 +160,7 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
       result.converged = true;
       break;
     }
-    apply_precond(team, precond, options.mixed_precision, r, z);
+    apply_precond(team, precond, r, z);
     const real_t rho_next = par_dot(team, r, z);
     if (cg_breakdown(rho_next)) {
       result.breakdown = true;
@@ -239,8 +228,7 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   }
   if (n_active == 0) return results;
 
-  apply_precond_batch(team, precond, options.mixed_precision, r.view(),
-                      z.view());
+  apply_precond_batch(team, precond, r.view(), z.view());
   par_batch_copy(team, z.view(), p.view(), active.data());
   par_batch_dot(team, r.view(), z.view(), rho);
   for (std::size_t j = 0; j < ks; ++j) stop_on_breakdown(j, rho[j]);
@@ -269,8 +257,7 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
     }
     if (n_active == 0) break;
 
-    apply_precond_batch(team, precond, options.mixed_precision, r.view(),
-                        z.view());
+    apply_precond_batch(team, precond, r.view(), z.view());
     par_batch_dot(team, r.view(), z.view(), dots);  // rho_next
     for (std::size_t j = 0; j < ks; ++j) {
       stop_on_breakdown(j, dots[j]);
@@ -315,7 +302,7 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
   std::vector<real_t> work2(static_cast<std::size_t>(n));
 
   // Convergence target in the *preconditioned* norm.
-  apply_precond(team, precond, options.mixed_precision, b, work);
+  apply_precond(team, precond, b, work);
   const real_t pb_norm = par_norm2(team, work);
   const real_t target = options.rtol * (pb_norm > 0.0 ? pb_norm : 1.0);
 
@@ -325,7 +312,7 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     // r = M^{-1} (b - A x)
     spmv.apply(team, x, work);
     par_xpby(team, b, -1.0, work);
-    apply_precond(team, precond, options.mixed_precision, work, basis[0]);
+    apply_precond(team, precond, work, basis[0]);
     beta = par_norm2(team, basis[0]);
     if (beta <= target) {
       result.converged = true;
@@ -341,8 +328,7 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
       const auto ju = static_cast<std::size_t>(j);
       // w = M^{-1} A v_j
       spmv.apply(team, basis[ju], work2);
-      apply_precond(team, precond, options.mixed_precision, work2,
-                    basis[ju + 1]);
+      apply_precond(team, precond, work2, basis[ju + 1]);
       // Modified Gram-Schmidt, norm and scale: H(0..j+1, j), v_{j+1}.
       real_t* hj = h.data() + ju * (static_cast<std::size_t>(m) + 1);
       par_mgs(team, std::span(vptr).first(ju + 1), basis[ju + 1],
@@ -550,7 +536,7 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 
   // Convergence targets in the preconditioned norm: one batched apply of
   // M^{-1} to all of b, unpacked into each column's v0.
-  apply_precond_batch(team, precond, options.mixed_precision, b, out.view());
+  apply_precond_batch(team, precond, b, out.view());
   for (std::size_t c = 0; c < ks; ++c) dst[c] = cols[c].v(0).data();
   par_unpack_columns(team, out.view(), dst);
   for_each_column(team, live, [&](std::size_t c) {
@@ -593,8 +579,7 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     if (any_start) {
       par_batch_xpby(team, b, minus_one, mid.view(), starting.data());
     }
-    apply_precond_batch(team, precond, options.mixed_precision, mid.view(),
-                        out.view());
+    apply_precond_batch(team, precond, mid.view(), out.view());
     par_unpack_columns(team, out.view(), dst);
     for_each_column(team, live, [&](std::size_t c) {
       auto& col = cols[c];
@@ -619,75 +604,6 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     results[c] = col.res;
   }
   return results;
-}
-
-namespace {
-
-template <class SolveFn>
-RefinementResult refined_solve(ThreadTeam& team, const SpMVKernel& spmv,
-                               std::span<const real_t> b,
-                               std::span<real_t> x, double outer_rtol,
-                               int max_cycles, SolveFn&& solve_one) {
-  const auto n = b.size();
-  std::vector<real_t> r(n), d(n);
-  RefinementResult out;
-  const real_t bnorm = par_norm2(team, b);
-  const real_t target = outer_rtol * (bnorm > 0.0 ? bnorm : 1.0);
-
-  // True residual in double — this is what bounds the final error
-  // regardless of the inner solve's precision.
-  spmv.apply(team, x, r);
-  par_xpby(team, b, -1.0, r);
-  out.residual_norm = par_norm2(team, r);
-  if (out.residual_norm <= target) {
-    out.converged = true;
-    return out;
-  }
-  for (int cycle = 0; cycle < max_cycles; ++cycle) {
-    std::fill(d.begin(), d.end(), 0.0);
-    const KrylovResult inner = solve_one(std::span<const real_t>(r), d);
-    ++out.cycles;
-    out.total_iterations += inner.iterations;
-    par_axpy(team, 1.0, d, x);
-    spmv.apply(team, x, r);
-    par_xpby(team, b, -1.0, r);
-    out.residual_norm = par_norm2(team, r);
-    if (out.residual_norm <= target) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-RefinementResult refined_pcg_solve(ThreadTeam& team, const CsrMatrix& a,
-                                   std::span<const real_t> b,
-                                   std::span<real_t> x,
-                                   Preconditioner* precond,
-                                   const KrylovOptions& inner_options,
-                                   double outer_rtol, int max_cycles) {
-  const SpMVKernel spmv = SpMVKernel::bind(a);
-  return refined_solve(team, spmv, b, x, outer_rtol, max_cycles,
-                       [&](std::span<const real_t> r, std::span<real_t> d) {
-                         return pcg_solve(team, a, r, d, precond,
-                                          inner_options);
-                       });
-}
-
-RefinementResult refined_gmres_solve(ThreadTeam& team, const CsrMatrix& a,
-                                     std::span<const real_t> b,
-                                     std::span<real_t> x,
-                                     Preconditioner* precond,
-                                     const KrylovOptions& inner_options,
-                                     double outer_rtol, int max_cycles) {
-  const SpMVKernel spmv = SpMVKernel::bind(a);
-  return refined_solve(team, spmv, b, x, outer_rtol, max_cycles,
-                       [&](std::span<const real_t> r, std::span<real_t> d) {
-                         return gmres_solve(team, a, r, d, precond,
-                                            inner_options);
-                       });
 }
 
 }  // namespace rtl

@@ -26,18 +26,6 @@ struct KrylovOptions {
   double rtol = 1e-10;
   /// GMRES restart length m.
   int restart = 30;
-  /// Route every preconditioner application through the float32-storage
-  /// kernel path (`Preconditioner::apply_batch_mixed`: float storage,
-  /// double accumulation inside the row sweeps). Everything else — SpMV,
-  /// residuals, inner products, solution updates — stays double, so the
-  /// convergence *criterion* is unchanged: a converged mixed solve still
-  /// satisfies ||r|| <= rtol·||b|| in double. A float-perturbed
-  /// preconditioner only changes which preconditioner is applied (M̃
-  /// with ||M̃^{-1} - M^{-1}|| = O(u_f ||M^{-1}||), u_f = 2^-24), which
-  /// affects the iteration *count*, not the meaning of the residual
-  /// test. See docs/ARCHITECTURE.md "Mixed precision" for the error
-  /// model and the x-difference bound tested against it.
-  bool mixed_precision = false;
 };
 
 /// Outcome of a Krylov solve.
@@ -119,39 +107,6 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                                       ConstBatchView b, BatchView x,
                                       Preconditioner* precond,
                                       const KrylovOptions& options = {});
-
-/// Outcome of an iterative-refinement (defect-correction) solve.
-struct RefinementResult {
-  bool converged = false;
-  /// Inner Krylov solves performed.
-  int cycles = 0;
-  /// Total inner Krylov iterations across all cycles.
-  int total_iterations = 0;
-  /// Final TRUE residual ||b - A x||_2, always evaluated in double.
-  double residual_norm = 0.0;
-};
-
-/// Classical iterative refinement around an inner Krylov solve: repeat
-/// r = b - A x (double SpMV through the bound kernel); solve A d = r
-/// with `inner_options` (typically `mixed_precision = true` and a loose
-/// `rtol`); x <- x + d — until ||b - A x||_2 <= outer_rtol * ||b||_2 or
-/// `max_cycles` inner solves. Because the outer residual is computed in
-/// full double precision, the achievable accuracy is set by the outer
-/// precision alone; the inner precision only changes how many cycles it
-/// takes (the standard refinement argument — docs/ARCHITECTURE.md).
-RefinementResult refined_pcg_solve(ThreadTeam& team, const CsrMatrix& a,
-                                   std::span<const real_t> b,
-                                   std::span<real_t> x,
-                                   Preconditioner* precond,
-                                   const KrylovOptions& inner_options,
-                                   double outer_rtol, int max_cycles = 10);
-
-RefinementResult refined_gmres_solve(ThreadTeam& team, const CsrMatrix& a,
-                                     std::span<const real_t> b,
-                                     std::span<real_t> x,
-                                     Preconditioner* precond,
-                                     const KrylovOptions& inner_options,
-                                     double outer_rtol, int max_cycles = 10);
 
 /// Runtime-context overloads: solve on `rt`'s owned team. Pair with
 /// preconditioners built on the same Runtime so their inspector plans come

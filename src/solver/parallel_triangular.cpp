@@ -13,17 +13,6 @@ ParallelTriangularSolver::ParallelTriangularSolver(
                   rt.plan_for(upper_solve_dependences(ilu.upper()), options),
                   ilu.upper())) {}
 
-ParallelTriangularSolver::ParallelTriangularSolver(
-    ThreadTeam& team, const IluFactorization& ilu, DoconsiderOptions options)
-    : kernel_(BoundKernel::lower(
-                  std::make_shared<const Plan>(
-                      team, lower_solve_dependences(ilu.lower()), options),
-                  ilu.lower()),
-              BoundKernel::upper(
-                  std::make_shared<const Plan>(
-                      team, upper_solve_dependences(ilu.upper()), options),
-                  ilu.upper())) {}
-
 void ParallelTriangularSolver::solve_lower(ThreadTeam& team,
                                            std::span<const real_t> rhs,
                                            std::span<real_t> y) {
@@ -56,11 +45,6 @@ void ParallelTriangularSolver::solve_upper(ThreadTeam& team,
 
 void ParallelTriangularSolver::solve(ThreadTeam& team, ConstBatchView rhs,
                                      BatchView y) {
-  kernel_.apply(team, rhs, y);
-}
-
-void ParallelTriangularSolver::solve(ThreadTeam& team, ConstBatchViewF rhs,
-                                     BatchViewF y) {
   kernel_.apply(team, rhs, y);
 }
 

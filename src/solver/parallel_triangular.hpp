@@ -14,11 +14,11 @@ namespace rtl {
 
 /// Bound-kernel pair for forward + backward substitution with the factors
 /// of an `IluFactorization`. The inspector (wavefronts + schedule, for
-/// both the L graph and the reversed-order U graph) runs once — or, when
-/// built on a `Runtime`, is fetched from its structure-keyed plan cache —
-/// and the matrix views are validated and bound into `BoundKernel`s once;
-/// every solve afterwards drives the fused kernel bodies directly, single
-/// right-hand side or batched.
+/// both the L graph and the reversed-order U graph) comes from the
+/// `Runtime`'s structure-keyed plan cache, and the matrix views are
+/// validated and bound into `BoundKernel`s once; every solve afterwards
+/// drives the fused kernel bodies directly, single right-hand side or
+/// batched.
 class ParallelTriangularSolver {
  public:
   /// Plan solves of `ilu.lower()` / `ilu.upper()` using `rt`'s team and
@@ -26,11 +26,6 @@ class ParallelTriangularSolver {
   /// inspector entirely. `ilu` must outlive the solver; its *values* may
   /// change between solves (re-factorization), its *structure* must not.
   ParallelTriangularSolver(Runtime& rt, const IluFactorization& ilu,
-                           DoconsiderOptions options = {});
-
-  /// Uncached variant: run the inspectors directly on `team`. Prefer the
-  /// `Runtime` constructor, which amortizes them across solver instances.
-  ParallelTriangularSolver(ThreadTeam& team, const IluFactorization& ilu,
                            DoconsiderOptions options = {});
 
   /// y <- L^{-1} rhs (unit lower L). Executor shape per plan options.
@@ -52,10 +47,6 @@ class ParallelTriangularSolver {
   void solve_lower(ThreadTeam& team, ConstBatchView rhs, BatchView y);
   void solve_upper(ThreadTeam& team, ConstBatchView rhs, BatchView y);
   void solve(ThreadTeam& team, ConstBatchView rhs, BatchView y);
-
-  /// Mixed-precision batched apply: float32 storage, double accumulation
-  /// in the kernel row sweeps (see BoundKernel).
-  void solve(ThreadTeam& team, ConstBatchViewF rhs, BatchViewF y);
 
   /// The bound kernels, exposed for instrumentation, benches and tests.
   [[nodiscard]] IluApplyKernel& kernel() noexcept { return kernel_; }

@@ -44,33 +44,6 @@ class Preconditioner {
       z.set_column(j, zj);
     }
   }
-
-  /// Mixed-precision batched apply: the float32-*storage* evaluation of
-  /// z <- M^{-1} r (double `r` rounded to float on the way in, float
-  /// result promoted back to double). The Krylov drivers call this when
-  /// `KrylovOptions::mixed_precision` is set; everything around the
-  /// preconditioner (residuals, inner products, updates) stays double,
-  /// which is what makes the mixed solve an iterative-refinement scheme
-  /// rather than a float solve (error model in docs/ARCHITECTURE.md).
-  /// The default simulates the storage rounding around `apply_batch` —
-  /// correct for any implementation; `IluPreconditioner` overrides it
-  /// with the real float-storage kernels (double accumulation inside the
-  /// row sweeps).
-  virtual void apply_batch_mixed(ThreadTeam& team, ConstBatchView r,
-                                 BatchView z) {
-    const index_t n = r.rows();
-    const index_t k = r.width();
-    BasicBatchBuffer<float> rf(n, k);
-    std::vector<real_t> rd(static_cast<std::size_t>(n) *
-                           static_cast<std::size_t>(k));
-    BatchView rdv{rd.data(), n, k};
-    convert_batch(r, rf.view());
-    convert_batch(static_cast<BasicConstBatchView<float>>(rf.view()), rdv);
-    apply_batch(team, rdv, z);
-    BasicBatchBuffer<float> zf(n, k);
-    convert_batch(static_cast<ConstBatchView>(z), zf.view());
-    convert_batch(static_cast<BasicConstBatchView<float>>(zf.view()), z);
-  }
 };
 
 }  // namespace rtl

@@ -344,30 +344,4 @@ void par_unpack_columns(ThreadTeam& team, ConstBatchView src,
                   });
 }
 
-void par_demote(ThreadTeam& team, ConstBatchView src, BatchViewF dst) {
-  assert(src.rows() == dst.rows() && src.width() == dst.width());
-  const real_t* s = src.data();
-  float* d = dst.data();
-  const std::size_t w = static_cast<std::size_t>(src.width());
-  team.parallel_blocks(src.rows(), [=](int, index_t b, index_t e) {
-    const std::size_t lo = static_cast<std::size_t>(b) * w;
-    const std::size_t hi = static_cast<std::size_t>(e) * w;
-    RTL_SIMD_LOOP
-    for (std::size_t t = lo; t < hi; ++t) d[t] = static_cast<float>(s[t]);
-  });
-}
-
-void par_promote(ThreadTeam& team, ConstBatchViewF src, BatchView dst) {
-  assert(src.rows() == dst.rows() && src.width() == dst.width());
-  const float* s = src.data();
-  real_t* d = dst.data();
-  const std::size_t w = static_cast<std::size_t>(src.width());
-  team.parallel_blocks(src.rows(), [=](int, index_t b, index_t e) {
-    const std::size_t lo = static_cast<std::size_t>(b) * w;
-    const std::size_t hi = static_cast<std::size_t>(e) * w;
-    RTL_SIMD_LOOP
-    for (std::size_t t = lo; t < hi; ++t) d[t] = static_cast<real_t>(s[t]);
-  });
-}
-
 }  // namespace rtl

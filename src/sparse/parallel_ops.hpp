@@ -114,9 +114,4 @@ void par_pack_columns(ThreadTeam& team, std::span<const real_t* const> src,
 void par_unpack_columns(ThreadTeam& team, ConstBatchView src,
                         std::span<real_t* const> dst);
 
-/// Team-parallel storage-precision conversion for the mixed path:
-/// round-to-nearest demotion to float32 / exact promotion to double.
-void par_demote(ThreadTeam& team, ConstBatchView src, BatchViewF dst);
-void par_promote(ThreadTeam& team, ConstBatchViewF src, BatchView dst);
-
 }  // namespace rtl

@@ -8,6 +8,7 @@
 
 #include "core/analysis.hpp"
 #include "core/plan.hpp"
+#include "core/runtime.hpp"
 #include "graph/wavefront.hpp"
 #include "model/performance_model.hpp"
 #include "solver/ilu_preconditioner.hpp"
@@ -107,7 +108,8 @@ TEST(IntegrationTest, SyntheticWorkloadThroughDoconsider) {
 }
 
 TEST(IntegrationTest, KrylovSolveWithEveryExecutorAgrees) {
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   const auto prob = make_spe5();
   std::vector<std::vector<real_t>> solutions;
   for (const auto exec :
@@ -115,7 +117,7 @@ TEST(IntegrationTest, KrylovSolveWithEveryExecutorAgrees) {
         ExecutionPolicy::kDoAcross}) {
     DoconsiderOptions opts;
     opts.execution = exec;
-    IluPreconditioner precond(team, prob.system.a, 0, opts);
+    IluPreconditioner precond(rt, prob.system.a, 0, opts);
     precond.factor(team, prob.system.a);
     std::vector<real_t> x(static_cast<std::size_t>(prob.system.a.rows()),
                           0.0);
@@ -157,9 +159,10 @@ TEST(IntegrationTest, ModelProblemEfficiencyMatchesScheduleAnalysis) {
 TEST(IntegrationTest, RefactorizationAfterValueChangeKeepsSolving) {
   // PCGPAK re-factors when the matrix values change between nonlinear
   // steps; the plans must survive a value update.
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   auto prob = make_spe4();
-  IluPreconditioner precond(team, prob.system.a, 0);
+  IluPreconditioner precond(rt, prob.system.a, 0);
   precond.factor(team, prob.system.a);
 
   std::vector<real_t> x(static_cast<std::size_t>(prob.system.a.rows()), 0.0);

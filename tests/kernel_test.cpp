@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -78,35 +76,6 @@ TEST(BatchViewTest, SingleVectorIsAWidthOneBatch) {
   EXPECT_EQ(v.rows(), 3);
   EXPECT_EQ(v.width(), 1);
   EXPECT_EQ(v.at(2, 0), 3.0);
-}
-
-TEST(BatchViewTest, FloatBuffersAndPrecisionConversionRoundTrip) {
-  // The storage scalar is a template parameter: float batches share the
-  // layout and API of the double ones, and convert_batch demotes /
-  // promotes elementwise. float -> double -> float is exact.
-  BatchBufferF f(3, 2);
-  for (index_t i = 0; i < 3; ++i) {
-    for (index_t j = 0; j < 2; ++j) {
-      f.view().at(i, j) = 0.5f * static_cast<float>(10 * i + j);
-    }
-  }
-  BatchBuffer d(3, 2);
-  convert_batch(static_cast<ConstBatchViewF>(f.view()), d.view());
-  EXPECT_EQ(d.view().at(2, 1), 10.5);
-
-  BatchBufferF back(3, 2);
-  convert_batch(static_cast<ConstBatchView>(d.view()), back.view());
-  for (index_t i = 0; i < 3; ++i) {
-    for (index_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(back.view().at(i, j), f.view().at(i, j));
-    }
-  }
-
-  std::vector<float> col(3);
-  back.get_column(1, col);
-  EXPECT_EQ(col[2], 10.5f);
-  back.set_column(0, std::vector<float>{1.0f, 2.0f, 3.0f});
-  EXPECT_EQ(back.view().at(2, 0), 3.0f);
 }
 
 // ---------------------------------------------------------------------
@@ -308,86 +277,6 @@ TEST_P(KernelSolveTest, IluApplyKernelMatchesSequentialLUSolve) {
   }
 }
 
-TEST_P(KernelSolveTest, FloatBatchedSolveTracksDoubleWithinErrorModel) {
-  // Float32-storage solves accumulate in double, so per row the only
-  // float rounding is the final store (plus, for the upper solve, the
-  // divide). The substitution recurrence amplifies stored errors by the
-  // factors' off-diagonal row sums; for the 5-pt ILU(0) factors those
-  // are well below 1, so a few hundred float ulps of the result bound
-  // the difference (docs/ARCHITECTURE.md "Mixed precision").
-  ThreadTeam team(GetParam());
-  Factored f;
-  const index_t n = f.ilu.size();
-  IluApplyKernel apply(
-      BoundKernel::lower(lower_plan_for(team, f.ilu), f.ilu.lower()),
-      BoundKernel::upper(upper_plan_for(team, f.ilu), f.ilu.upper()));
-
-  const index_t k = 4;
-  BatchBuffer rd(n, k), zd(n, k);
-  BatchBufferF rf(n, k), zf(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> col(f.system.rhs);
-    for (auto& v : col) v *= 1.0 + 0.5 * static_cast<real_t>(j);
-    rd.set_column(j, col);
-  }
-  // Use the float-rounded rhs on both sides so the comparison isolates
-  // the storage precision of the solve itself.
-  convert_batch(static_cast<ConstBatchView>(rd.view()), rf.view());
-  convert_batch(static_cast<ConstBatchViewF>(rf.view()), rd.view());
-  apply.apply(team, rd.view(), zd.view());
-  apply.apply(team, rf.view(), zf.view());
-
-  real_t zmax = 0.0;
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      zmax = std::max(zmax, std::abs(zd.view().at(i, j)));
-    }
-  }
-  constexpr double uf = 1.0 / 16777216.0;  // 2^-24
-  const double tol = 512.0 * uf * (1.0 + zmax);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(static_cast<double>(zf.view().at(i, j)),
-                  zd.view().at(i, j), tol)
-          << "col=" << j << " row=" << i;
-    }
-  }
-}
-
-TEST_P(KernelSolveTest, IluPreconditionerMixedApplyWithinFloatTolerance) {
-  // The IluPreconditioner override demotes once, runs the float-storage
-  // kernel pair, and promotes once — so against the double batched apply
-  // it obeys the same storage-rounding model as the kernels themselves.
-  Runtime rt(GetParam());
-  const auto prob = make_5pt();
-  IluPreconditioner precond(rt, prob.system.a, 0);
-  precond.factor(rt.team(), prob.system.a);
-  const index_t n = prob.system.a.rows();
-  const index_t k = 3;
-  BatchBuffer r(n, k), z(n, k), zm(n, k);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> col(prob.system.rhs);
-    for (auto& v : col) v *= 1.0 + 0.25 * static_cast<real_t>(j);
-    r.set_column(j, col);
-  }
-  precond.apply_batch(rt.team(), r.view(), z.view());
-  precond.apply_batch_mixed(rt.team(), r.view(), zm.view());
-  real_t zmax = 0.0;
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      zmax = std::max(zmax, std::abs(z.view().at(i, j)));
-    }
-  }
-  constexpr double uf = 1.0 / 16777216.0;
-  const double tol = 1024.0 * uf * (1.0 + zmax);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(zm.view().at(i, j), z.view().at(i, j), tol)
-          << "col=" << j << " row=" << i;
-    }
-  }
-}
-
 TEST_P(KernelSolveTest, RefactorizationIsVisibleThroughBoundKernels) {
   // The kernel binds value pointers once; factor() rewrites values in
   // place, so a re-factorization must be picked up without rebinding.
@@ -479,21 +368,6 @@ TEST(PreconditionerBatchTest, DefaultBatchedApplyLoopsSingleApplies) {
     m.apply(team, colr, colz);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(z.view().at(i, j), colz[static_cast<std::size_t>(i)]);
-    }
-  }
-
-  // The default mixed apply is pure storage rounding around the double
-  // apply (demote r, apply in double, round z through float): the error
-  // against the double apply is a couple of float ulps of each element.
-  BatchBuffer zm(n, k);
-  m.apply_batch_mixed(team, r.view(), zm.view());
-  constexpr double uf = 1.0 / 16777216.0;
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      const double want = z.view().at(i, j);
-      ASSERT_NEAR(zm.view().at(i, j), want,
-                  8.0 * uf * std::max(1.0, std::abs(want)))
-          << "col=" << j << " row=" << i;
     }
   }
 }

@@ -516,70 +516,6 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   }
 }
 
-TEST_P(DagPropertyTest, MixedPrecisionSolveSatisfiesDocumentedErrorModel) {
-  // The mixed-precision pin is tolerance-bounded by construction: scale
-  // each row of the random lower factor so its absolute sum is <= 1/2.
-  // Float storage with double accumulation makes each row's error at
-  // most u_f (1 + |x_i|) plus half the worst upstream error (the row-sum
-  // bound), so the recurrence converges geometrically:
-  //   e_i <= u_f (1 + max|x|) + e_max / 2   =>   e_max <= 2 u_f (1 + max|x|)
-  // Tested at 16x the bound to absorb the rhs's own storage rounding
-  // (u_f |b_i|, also covered by the same geometric argument) and the
-  // double-accumulation dust.
-  const auto param = GetParam();
-  const std::uint64_t seed = test_seed(param.seed);
-  SCOPED_TRACE(seed_trace(seed));
-  const auto g = random_dag(param.n, param.max_deg, seed);
-  CsrMatrix lower = lower_matrix_from_dag(g, seed ^ 0xbeef);
-  for (index_t i = 0; i < lower.rows(); ++i) {
-    auto vals = lower.row_vals(i);
-    real_t sum = 0.0;
-    for (const real_t v : vals) sum += std::abs(v);
-    if (sum > 0.5) {
-      const real_t s = 0.5 / sum;
-      for (auto& v : vals) v *= s;
-    }
-  }
-  const index_t n = g.size();
-  const index_t k = 4;
-
-  ThreadTeam team(param.nproc);
-  auto kernel = BoundKernel::lower(
-      std::make_shared<const Plan>(team, DependenceGraph(g)), lower);
-
-  BatchBuffer rd(n, k), xd(n, k);
-  BatchBufferF rf(n, k), xf(n, k);
-  std::mt19937_64 rng(seed ^ 0xf10a);
-  std::uniform_real_distribution<real_t> dist(-1.0, 1.0);
-  for (index_t j = 0; j < k; ++j) {
-    std::vector<real_t> colv(static_cast<std::size_t>(n));
-    for (auto& v : colv) v = dist(rng);
-    rd.set_column(j, colv);
-  }
-  // Float-rounded rhs on both sides: the pin isolates the solve's
-  // storage precision.
-  convert_batch(static_cast<ConstBatchView>(rd.view()), rf.view());
-  convert_batch(static_cast<ConstBatchViewF>(rf.view()), rd.view());
-  kernel.solve(team, rd.view(), xd.view());
-  kernel.solve(team, rf.view(), xf.view());
-
-  real_t xmax = 0.0;
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      xmax = std::max(xmax, std::abs(xd.view().at(i, j)));
-    }
-  }
-  constexpr double uf = 1.0 / 16777216.0;  // 2^-24
-  const double bound = 16.0 * (2.0 * uf * (1.0 + xmax));
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(static_cast<double>(xf.view().at(i, j)),
-                  xd.view().at(i, j), bound)
-          << "col=" << j << " row=" << i << " xmax=" << xmax;
-    }
-  }
-}
-
 TEST_P(DagPropertyTest, SymbolicSelfNeverSlowerThanPreScheduled) {
   const auto p = GetParam();
   const std::uint64_t seed = test_seed(p.seed);

@@ -8,6 +8,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "core/runtime.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
 #include "solver/parallel_triangular.hpp"
@@ -42,14 +43,15 @@ class TriangularSolverTest
 
 TEST_P(TriangularSolverTest, MatchesSequentialSolves) {
   const auto [nthreads, exec_policy] = GetParam();
-  ThreadTeam team(nthreads);
+  Runtime rt(nthreads, 0, "");
+  ThreadTeam& team = rt.team();
   const auto prob = make_spe4();
   IluFactorization ilu(prob.system.a, 0);
   ilu.factor(prob.system.a);
 
   DoconsiderOptions opts;
   opts.execution = static_cast<ExecutionPolicy>(exec_policy);
-  ParallelTriangularSolver solver(team, ilu, opts);
+  ParallelTriangularSolver solver(rt, ilu, opts);
 
   const index_t n = prob.system.a.rows();
   std::vector<real_t> rhs(prob.system.rhs);
@@ -74,11 +76,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2)));  // pre/self/doacross
 
 TEST(TriangularSolverRepeat, SolvesAreRepeatable) {
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(40, 40);
   IluFactorization ilu(sys.a, 0);
   ilu.factor(sys.a);
-  ParallelTriangularSolver solver(team, ilu);
+  ParallelTriangularSolver solver(rt, ilu);
   const index_t n = sys.a.rows();
   std::vector<real_t> tmp(static_cast<std::size_t>(n)),
       y1(static_cast<std::size_t>(n)), y2(static_cast<std::size_t>(n));
@@ -92,12 +95,13 @@ TEST(TriangularSolverRepeat, SolvesAreRepeatable) {
 class ParallelFactorTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelFactorTest, MatchesSequentialFactorization) {
-  ThreadTeam team(GetParam());
+  Runtime rt(GetParam(), 0, "");
+  ThreadTeam& team = rt.team();
   const auto prob = make_spe2();
   IluFactorization seq(prob.system.a, 0);
   seq.factor(prob.system.a);
 
-  IluPreconditioner precond(team, prob.system.a, 0);
+  IluPreconditioner precond(rt, prob.system.a, 0);
   precond.factor(team, prob.system.a);
 
   const auto& l1 = seq.lower().values();
@@ -115,13 +119,14 @@ TEST_P(ParallelFactorTest, MatchesSequentialFactorization) {
 }
 
 TEST_P(ParallelFactorTest, HigherFillLevelsAlsoMatch) {
-  ThreadTeam team(GetParam());
+  Runtime rt(GetParam(), 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(15, 15);
   IluFactorization seq(sys.a, 2);
   seq.factor(sys.a);
   DoconsiderOptions opts;
   opts.execution = ExecutionPolicy::kSelfExecuting;
-  IluPreconditioner precond(team, sys.a, 2, opts);
+  IluPreconditioner precond(rt, sys.a, 2, opts);
   precond.factor(team, sys.a);
   const auto& u1 = seq.upper().values();
   const auto& u2 = precond.factors().upper().values();
@@ -135,9 +140,10 @@ INSTANTIATE_TEST_SUITE_P(Teams, ParallelFactorTest,
                          ::testing::Values(1, 2, 8, 16));
 
 TEST(PreconditionerTest, ApplyEqualsTwoTriangularSolves) {
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(25, 25);
-  IluPreconditioner precond(team, sys.a, 0);
+  IluPreconditioner precond(rt, sys.a, 0);
   precond.factor(team, sys.a);
   const index_t n = sys.a.rows();
   std::vector<real_t> z(static_cast<std::size_t>(n)),
@@ -178,11 +184,12 @@ TEST(GmresTest, UnpreconditionedConvergesOnSmallMesh) {
 class GmresPolicyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GmresPolicyTest, PreconditionedSolveMatchesManufacturedSolution) {
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(31, 31);
   DoconsiderOptions opts;
   opts.execution = static_cast<ExecutionPolicy>(GetParam());
-  IluPreconditioner precond(team, sys.a, 0, opts);
+  IluPreconditioner precond(rt, sys.a, 0, opts);
   precond.factor(team, sys.a);
   std::vector<real_t> x(static_cast<std::size_t>(sys.a.rows()), 0.0);
   KrylovOptions kopt;
@@ -196,7 +203,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, GmresPolicyTest,
                          ::testing::Values(0, 1, 2));
 
 TEST(GmresTest, PreconditioningReducesIterations) {
-  ThreadTeam team(8);
+  Runtime rt(8, 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(25, 25);
   KrylovOptions opt;
   opt.max_iterations = 2000;
@@ -205,7 +213,7 @@ TEST(GmresTest, PreconditioningReducesIterations) {
   std::vector<real_t> x_plain(static_cast<std::size_t>(sys.a.rows()), 0.0);
   const auto plain = gmres_solve(team, sys.a, sys.rhs, x_plain, nullptr, opt);
 
-  IluPreconditioner precond(team, sys.a, 0);
+  IluPreconditioner precond(rt, sys.a, 0);
   precond.factor(team, sys.a);
   std::vector<real_t> x_pc(static_cast<std::size_t>(sys.a.rows()), 0.0);
   const auto pc = gmres_solve(team, sys.a, sys.rhs, x_pc, &precond, opt);
@@ -216,9 +224,10 @@ TEST(GmresTest, PreconditioningReducesIterations) {
 }
 
 TEST(GmresTest, SolvesAllStandardProblems) {
-  ThreadTeam team(16);
+  Runtime rt(16, 0, "");
+  ThreadTeam& team = rt.team();
   for (const auto& prob : standard_problem_set()) {
-    IluPreconditioner precond(team, prob.system.a, 0);
+    IluPreconditioner precond(rt, prob.system.a, 0);
     precond.factor(team, prob.system.a);
     std::vector<real_t> x(static_cast<std::size_t>(prob.system.a.rows()),
                           0.0);
@@ -261,7 +270,8 @@ TEST(PcgTest, SolvesSpdSystem) {
 }
 
 TEST(PcgTest, PreconditionedPcgConvergesFaster) {
-  ThreadTeam team(4);
+  Runtime rt(4, 0, "");
+  ThreadTeam& team = rt.team();
   const index_t nx = 31;
   CooBuilder coo(nx * nx, nx * nx);
   for (index_t j = 0; j < nx; ++j) {
@@ -282,7 +292,7 @@ TEST(PcgTest, PreconditionedPcgConvergesFaster) {
 
   std::vector<real_t> x1(b.size(), 0.0);
   const auto plain = pcg_solve(team, a, b, x1, nullptr, opt);
-  IluPreconditioner precond(team, a, 0);
+  IluPreconditioner precond(rt, a, 0);
   precond.factor(team, a);
   std::vector<real_t> x2(b.size(), 0.0);
   const auto pc = pcg_solve(team, a, b, x2, &precond, opt);
@@ -331,8 +341,8 @@ BatchBuffer scaled_rhs_batch(std::span<const real_t> base, index_t k) {
 }
 
 /// Delegating preconditioner that records how the driver applied it: the
-/// batched drivers must route through `apply_batch` (or the mixed
-/// variant) at full batch width, never through column-by-column singles.
+/// batched drivers must route through `apply_batch` at full batch width,
+/// never through column-by-column singles.
 class CountingPreconditioner : public Preconditioner {
  public:
   explicit CountingPreconditioner(Preconditioner& inner) : inner_(inner) {}
@@ -347,16 +357,9 @@ class CountingPreconditioner : public Preconditioner {
     max_width = std::max(max_width, r.width());
     inner_.apply_batch(team, r, z);
   }
-  void apply_batch_mixed(ThreadTeam& team, ConstBatchView r,
-                         BatchView z) override {
-    ++mixed_applies;
-    max_width = std::max(max_width, r.width());
-    inner_.apply_batch_mixed(team, r, z);
-  }
 
   int single_applies = 0;
   int batch_applies = 0;
-  int mixed_applies = 0;
   index_t max_width = 0;
 
  private:
@@ -364,11 +367,12 @@ class CountingPreconditioner : public Preconditioner {
 };
 
 TEST(BatchedKrylovTest, PcgColumnsAreBitForBitTheSingleRhsDriver) {
-  ThreadTeam team(4);
+  Runtime rt(4, 0, "");
+  ThreadTeam& team = rt.team();
   const auto a = laplacian(15);
   const index_t n = a.rows();
   const index_t k = 4;
-  IluPreconditioner precond(team, a, 0);
+  IluPreconditioner precond(rt, a, 0);
   precond.factor(team, a);
 
   const std::vector<real_t> base(static_cast<std::size_t>(n), 1.0);
@@ -434,8 +438,9 @@ TEST(BatchedKrylovTest, GmresColumnsAreBitForBitTheSingleRhsDriver) {
   bool counts_differ = false;
   std::vector<real_t> colb(nz);
   for (const int procs : {1, 2, 3, 4}) {
-    ThreadTeam team(procs);
-    IluPreconditioner precond(team, sys.a, 0);
+    Runtime rt(procs, 0, "");
+    ThreadTeam& team = rt.team();
+    IluPreconditioner precond(rt, sys.a, 0);
     precond.factor(team, sys.a);
     for (const int restart : {3, 7, 30}) {
       for (const int cap : {200, 11}) {
@@ -482,11 +487,12 @@ TEST(BatchedKrylovTest, BatchedDriversReachApplyBatchAtFullWidth) {
   // was never reached and the per-wavefront synchronization was paid k
   // times. The lockstep drivers must apply the preconditioner batched at
   // the full width and never fall back to single applies.
-  ThreadTeam team(2);
+  Runtime rt(2, 0, "");
+  ThreadTeam& team = rt.team();
   const auto a = laplacian(10);
   const index_t n = a.rows();
   const index_t k = 5;
-  IluPreconditioner inner(team, a, 0);
+  IluPreconditioner inner(rt, a, 0);
   inner.factor(team, a);
   CountingPreconditioner counting(inner);
 
@@ -515,103 +521,6 @@ TEST(BatchedKrylovTest, BatchedDriversReachApplyBatchAtFullWidth) {
   for (const auto& r : results) EXPECT_TRUE(r.converged);
 }
 
-// ---------------------------------------------------------------------
-// Mixed precision and iterative refinement.
-// ---------------------------------------------------------------------
-
-TEST(MixedPrecisionKrylov, ConvergedMixedSolveMeetsTheDoubleCriterion) {
-  // With mixed_precision set only the preconditioner application runs in
-  // float storage; residuals and the convergence test stay double, so a
-  // converged mixed solve satisfies the same ||r|| <= rtol ||b||. The
-  // solutions then obey ||x_m - x_d|| <= 2 rtol ||b|| ||A^{-1}||; for
-  // the SPD Laplacian ||A^{-1}||_2 = 1/lambda_min with
-  // lambda_min = 8 sin^2(pi / (2(nx+1))) (docs/ARCHITECTURE.md).
-  ThreadTeam team(4);
-  const index_t nx = 15;
-  const auto a = laplacian(nx);
-  const index_t n = a.rows();
-  IluPreconditioner precond(team, a, 0);
-  precond.factor(team, a);
-  const std::vector<real_t> b(static_cast<std::size_t>(n), 1.0);
-
-  KrylovOptions opt;
-  opt.rtol = 1e-8;
-  opt.max_iterations = 500;
-  std::vector<real_t> xd(b.size(), 0.0);
-  const auto res_d = pcg_solve(team, a, b, xd, &precond, opt);
-  ASSERT_TRUE(res_d.converged);
-
-  opt.mixed_precision = true;
-  std::vector<real_t> xm(b.size(), 0.0);
-  const auto res_m = pcg_solve(team, a, b, xm, &precond, opt);
-  ASSERT_TRUE(res_m.converged);
-  // True-residual check with an absolute slack for the recurrence
-  // residual's double-precision drift (O(n eps ||A|| ||x||) ~ 1e-12).
-  EXPECT_LE(residual_norm(a, xm, b), opt.rtol * norm(b) + 1e-10);
-
-  const double pi = 3.14159265358979323846;
-  const double s = std::sin(pi / (2.0 * static_cast<double>(nx + 1)));
-  const double inv_a_norm = 1.0 / (8.0 * s * s);
-  std::vector<real_t> diff(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) diff[i] = xm[i] - xd[i];
-  EXPECT_LE(norm(diff), 2.0 * opt.rtol * norm(b) * inv_a_norm + 1e-9);
-}
-
-TEST(MixedPrecisionKrylov, MixedGmresConvergesOnTheStandardProblems) {
-  ThreadTeam team(8);
-  for (const auto& prob : standard_problem_set()) {
-    IluPreconditioner precond(team, prob.system.a, 0);
-    precond.factor(team, prob.system.a);
-    std::vector<real_t> x(static_cast<std::size_t>(prob.system.a.rows()),
-                          0.0);
-    KrylovOptions opt;
-    opt.max_iterations = 500;
-    opt.rtol = 1e-8;
-    opt.mixed_precision = true;
-    const auto res =
-        gmres_solve(team, prob.system.a, prob.system.rhs, x, &precond, opt);
-    EXPECT_TRUE(res.converged) << prob.name;
-    EXPECT_LT(residual_norm(prob.system.a, x, prob.system.rhs),
-              1e-4 * norm(prob.system.rhs) + 1e-8)
-        << prob.name;
-  }
-}
-
-TEST(RefinementTest, RefinedSolvesReachOuterToleranceWithLooseMixedInner) {
-  // Defect correction: loose mixed-precision inner solves, double outer
-  // residual. The achievable accuracy is set by the outer precision
-  // alone — the inner precision only costs cycles.
-  ThreadTeam team(4);
-  const auto a = laplacian(12);
-  const index_t n = a.rows();
-  IluPreconditioner precond(team, a, 0);
-  precond.factor(team, a);
-  const std::vector<real_t> b(static_cast<std::size_t>(n), 1.0);
-
-  KrylovOptions inner;
-  inner.rtol = 1e-4;  // far looser than the outer target
-  inner.max_iterations = 200;
-  inner.mixed_precision = true;
-  const double outer_rtol = 1e-10;
-
-  std::vector<real_t> x(b.size(), 0.0);
-  const auto pcg_res =
-      refined_pcg_solve(team, a, b, x, &precond, inner, outer_rtol);
-  EXPECT_TRUE(pcg_res.converged);
-  EXPECT_GE(pcg_res.cycles, 1);
-  EXPECT_GE(pcg_res.total_iterations, pcg_res.cycles);
-  EXPECT_LE(pcg_res.residual_norm, outer_rtol * norm(b));
-  EXPECT_LE(residual_norm(a, x, b), outer_rtol * norm(b) * (1.0 + 1e-9));
-
-  std::vector<real_t> xg(b.size(), 0.0);
-  const auto gmres_res =
-      refined_gmres_solve(team, a, b, xg, &precond, inner, outer_rtol);
-  EXPECT_TRUE(gmres_res.converged);
-  EXPECT_GE(gmres_res.cycles, 1);
-  EXPECT_LE(gmres_res.residual_norm, outer_rtol * norm(b));
-  EXPECT_LE(residual_norm(a, xg, b), outer_rtol * norm(b) * (1.0 + 1e-9));
-}
-
 TEST(KrylovEdge, ZeroRhsConvergesImmediately) {
   ThreadTeam team(2);
   const CsrMatrix a(2, 2, {0, 1, 2}, {0, 1}, {1.0, 1.0});
@@ -628,11 +537,12 @@ TEST(KrylovEdge, GmresRejectsRestartBelowOne) {
   // write past its one-vector basis; restart = -1 escaped as
   // std::length_error. Both drivers reject both with a typed error before
   // allocating, and the team solves normally afterwards.
-  ThreadTeam team(2);
+  Runtime rt(2, 0, "");
+  ThreadTeam& team = rt.team();
   const auto sys = five_point(10, 10);
   const index_t n = sys.a.rows();
   const auto nz = static_cast<std::size_t>(n);
-  IluPreconditioner precond(team, sys.a, 0);
+  IluPreconditioner precond(rt, sys.a, 0);
   precond.factor(team, sys.a);
   const index_t k = 3;
   const BatchBuffer b = scaled_rhs_batch(sys.rhs, k);

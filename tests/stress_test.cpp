@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/plan.hpp"
+#include "core/runtime.hpp"
 #include "graph/dependence_graph.hpp"
 #include "kernel/batch.hpp"
 #include "kernel/bound_kernel.hpp"
@@ -297,8 +298,9 @@ TEST(KrylovStressTest, BatchedGmresColumnsMatchSingleRhsAtEveryTeamSize) {
   opt.restart = 3;
   opt.max_iterations = 40;
   for (int p = 1; p <= 8; ++p) {
-    ThreadTeam team(p);
-    IluPreconditioner precond(team, sys.a, 0);
+    Runtime rt(p, 0, "");
+    ThreadTeam& team = rt.team();
+    IluPreconditioner precond(rt, sys.a, 0);
     precond.factor(team, sys.a);
     std::vector<std::vector<real_t>> ref_x(kMax, std::vector<real_t>(nz));
     std::vector<KrylovResult> ref(kMax);
