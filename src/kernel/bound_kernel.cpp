@@ -1,6 +1,5 @@
 #include "kernel/bound_kernel.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -21,10 +20,7 @@ namespace {
 // The fused loop bodies. Named aggregate functors, not lambdas: binding
 // resolves every pointer once, `Plan::execute` instantiates its executor
 // loops directly on these types, and the per-iteration work is indexed
-// loads/stores only. The batched variants keep the exact per-lane
-// operation order of the single-RHS bodies (initialize from rhs, subtract
-// matrix entries in storage order, divide by the diagonal last), so a
-// k-wide solve is bit-for-bit identical to k independent solves.
+// loads/stores only.
 // ---------------------------------------------------------------------
 
 /// Row i of forward substitution: x(i) = rhs(i) - sum_j L(i,j) x(j).
@@ -68,23 +64,17 @@ struct UpperSolveBody {
   }
 };
 
-// The batched bodies process each row's lanes in fixed-size chunks of
-// local accumulators, so a row's running sums live in the chunk, not in
-// x, across its stored entries. Per lane the chunked form performs
-// exactly the operation sequence of the single-RHS body (initialize from
-// rhs, subtract matrix entries in storage order, divide by the diagonal
-// last) — each step is the identically-rounded double op — so batched
-// results stay bit-for-bit equal to k single solves.
-inline constexpr std::size_t kLaneChunk = 32;
-
-// One inner lane loop over a chunk of m lanes. `omp simd` (when compiled
-// in, kernel/simd.hpp) asserts only lane independence — true by
-// construction: lanes are distinct batch columns — and never reassociates
-// within a lane, so each lane keeps the single-RHS body's rounded-op
-// sequence.
-#define RTL_LANE_LOOP(...)                                      \
-  RTL_SIMD_LOOP                                                 \
-  for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }
+// The batched bodies accumulate each lane directly in the row's output
+// strip over the full width k: x(i,:) = rhs(i,:), then
+// x(i,:) -= val[t] * x(col[t],:) for each stored entry in storage order,
+// and the upper body divides by the diagonal last. Per lane that is the
+// single-RHS body's sequence of identically-rounded double ops, so a
+// k-wide solve is bit-for-bit k single solves. x(i,:) holds partial sums
+// only while row i runs, and every executor publishes row i (ready flag,
+// slab progress store or barrier) only after its body returns, so no
+// other thread reads a partial sum. `omp simd` (when compiled in,
+// kernel/simd.hpp) asserts only lane independence — the strips of row i
+// and of col[t] != i never overlap — and never reassociates within a lane.
 
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
@@ -103,16 +93,13 @@ struct LowerSolveBatchBody {
     const std::size_t w = static_cast<std::size_t>(k);
     real_t* xi = x + static_cast<std::size_t>(i) * w;
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
-    real_t acc[kLaneChunk];
-    for (std::size_t c = 0; c < w; c += kLaneChunk) {
-      const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = ri[c + jj])
-      for (std::size_t t = b; t < e; ++t) {
-        const real_t v = val[t];
-        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * xd[jj])
-      }
-      RTL_LANE_LOOP(xi[c + jj] = acc[jj])
+    RTL_SIMD_LOOP
+    for (std::size_t j = 0; j < w; ++j) xi[j] = ri[j];
+    for (std::size_t t = b; t < e; ++t) {
+      const real_t v = val[t];
+      const real_t* xd = x + static_cast<std::size_t>(col[t]) * w;
+      RTL_SIMD_LOOP
+      for (std::size_t j = 0; j < w; ++j) xi[j] -= v * xd[j];
     }
   }
 };
@@ -133,22 +120,19 @@ struct UpperSolveBatchBody {
     const std::size_t w = static_cast<std::size_t>(k);
     real_t* xi = x + static_cast<std::size_t>(i) * w;
     const real_t* ri = rhs + static_cast<std::size_t>(i) * w;
-    const real_t d = val[b];
-    real_t acc[kLaneChunk];
-    for (std::size_t c = 0; c < w; c += kLaneChunk) {
-      const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = ri[c + jj])
-      for (std::size_t t = b + 1; t < e; ++t) {
-        const real_t v = val[t];
-        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] -= v * xd[jj])
-      }
-      RTL_LANE_LOOP(xi[c + jj] = acc[jj] / d)
+    RTL_SIMD_LOOP
+    for (std::size_t j = 0; j < w; ++j) xi[j] = ri[j];
+    for (std::size_t t = b + 1; t < e; ++t) {
+      const real_t v = val[t];
+      const real_t* xd = x + static_cast<std::size_t>(col[t]) * w;
+      RTL_SIMD_LOOP
+      for (std::size_t j = 0; j < w; ++j) xi[j] -= v * xd[j];
     }
+    const real_t d = val[b];
+    RTL_SIMD_LOOP
+    for (std::size_t j = 0; j < w; ++j) xi[j] /= d;
   }
 };
-
-#undef RTL_LANE_LOOP
 
 }  // namespace
 

@@ -1,6 +1,5 @@
 #include "kernel/spmv_kernel.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -15,40 +14,30 @@ namespace {
   throw std::invalid_argument("SpMVKernel::bind: " + what);
 }
 
-// Chunked-lane row product, mirroring the bound-solve bodies: each row's
-// lanes accumulate in a chunk of kLaneChunk registers, lane loops under
-// `omp simd` when compiled in (kernel/simd.hpp). Per lane the
-// accumulation order is exactly the single-vector row sum (stored entries
-// in order), so batched equals k singles bit-for-bit.
-inline constexpr std::size_t kLaneChunk = 32;
-
-#define RTL_LANE_LOOP(...)                                      \
-  RTL_SIMD_LOOP                                                 \
-  for (std::size_t jj = 0; jj < m; ++jj) { __VA_ARGS__; }
-
+// Batched row product, mirroring the bound-solve bodies: each lane
+// accumulates directly in the row's output strip, y(i,:) = 0.0 and then
+// y(i,:) += val[t] * x(col[t],:) over the stored entries in order, under
+// `omp simd` when compiled in (kernel/simd.hpp). Per lane that is exactly
+// the single-vector row sum, including its 0.0 start (which decides the
+// sign of an all-zero row), so batched equals k singles bit-for-bit.
 void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
                const real_t* x, real_t* y, index_t k, index_t row_begin,
                index_t row_end) {
   const std::size_t w = static_cast<std::size_t>(k);
-  real_t acc[kLaneChunk];
   for (index_t i = row_begin; i < row_end; ++i) {
     const std::size_t b = static_cast<std::size_t>(row_ptr[i]);
     const std::size_t e = static_cast<std::size_t>(row_ptr[i + 1]);
     real_t* yi = y + static_cast<std::size_t>(i) * w;
-    for (std::size_t c = 0; c < w; c += kLaneChunk) {
-      const std::size_t m = std::min(kLaneChunk, w - c);
-      RTL_LANE_LOOP(acc[jj] = 0.0)
-      for (std::size_t t = b; t < e; ++t) {
-        const real_t v = val[t];
-        const real_t* xd = x + static_cast<std::size_t>(col[t]) * w + c;
-        RTL_LANE_LOOP(acc[jj] += v * xd[jj])
-      }
-      RTL_LANE_LOOP(yi[c + jj] = acc[jj])
+    RTL_SIMD_LOOP
+    for (std::size_t j = 0; j < w; ++j) yi[j] = 0.0;
+    for (std::size_t t = b; t < e; ++t) {
+      const real_t v = val[t];
+      const real_t* xd = x + static_cast<std::size_t>(col[t]) * w;
+      RTL_SIMD_LOOP
+      for (std::size_t j = 0; j < w; ++j) yi[j] += v * xd[j];
     }
   }
 }
-
-#undef RTL_LANE_LOOP
 
 }  // namespace
 

@@ -211,7 +211,11 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
                                  f.ilu.lower());
     auto uk = BoundKernel::upper(upper_plan_for(team, f.ilu, opts),
                                  f.ilu.upper());
-    for (const index_t k : {1, 3, 8, 40}) {  // 40: two lane chunks
+    // Widths: 1 takes the single-RHS dispatch; 2 is the service's commonest
+    // coalesced width; 3 leaves a scalar remainder after the vector loop;
+    // 8 and 40 fill whole vectors; 64 is the default
+    // ServiceConfig::max_batch, the widest batch the service sends.
+    for (const index_t k : {1, 2, 3, 8, 40, 64}) {
       BatchBuffer rhs(n, k), got(n, k);
       for (index_t j = 0; j < k; ++j) {
         std::vector<real_t> col(f.system.rhs);

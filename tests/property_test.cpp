@@ -439,9 +439,9 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   // right-hand sides equals k single-RHS solves bit-for-bit, and every
   // single solve equals the sequential Figure 8 loop (sparse/triangular),
   // under every executor, the three scheduling policies, every processor
-  // count 1..8 and k in {1, 4, 16}. The batched bodies run their lanes under
-  // `omp simd` and the single-RHS bodies are scalar, so this is also the
-  // SIMD pin: one differing bit means a lane loop reordered arithmetic
+  // count 1..8 and k in {1, 2, 4, 16}. The batched bodies run their lanes
+  // under `omp simd` and the single-RHS bodies are scalar, so this is also
+  // the SIMD pin: one differing bit means a lane loop reordered arithmetic
   // or an executor ran a row before its dependences.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
@@ -494,7 +494,7 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
               << " nproc=" << nproc << " col=" << j << " row=" << i;
         }
       }
-      for (const index_t k : {1, 4, 16}) {
+      for (const index_t k : {1, 2, 4, 16}) {
         BatchBuffer rhs(n, k), got(n, k);
         for (index_t j = 0; j < k; ++j) {
           rhs.set_column(j, cols[static_cast<std::size_t>(j)]);

@@ -57,7 +57,11 @@ TEST_P(SpMVKernelTest, BatchedApplyIsBitForBitKSingleApplies) {
     if (round == 1) {
       for (auto& v : sys.a.values()) v *= -1.5;
     }
-    for (const index_t k : {1, 3, 8, 40}) {  // 40: two lane chunks
+    // Widths: 1 is the narrowest batch; 2 is the service's commonest
+    // coalesced width; 3 leaves a scalar remainder after the vector loop;
+    // 8 and 40 fill whole vectors; 64 is the default
+    // ServiceConfig::max_batch, the widest batch the service sends.
+    for (const index_t k : {1, 2, 3, 8, 40, 64}) {
       BatchBuffer x(n, k), y(n, k);
       for (index_t j = 0; j < k; ++j) {
         x.set_column(j, ramp(n, 1.0 + static_cast<real_t>(j)));
