@@ -12,13 +12,15 @@
 // plan fingerprint plus Runtime plan-cache counters (one cold and one
 // warm `plan_for`, so cache behavior is observable from the shell).
 //
-// --save-plan F serializes the full solve bundle (forward plan to F,
-// backward to F.upper, numeric-factorization to F.factor, default
-// options) in the core/plan_io binary format — the producer half of
-// `solver_cli --load-plan F`. --load-plan F instead loads F, prints the
-// stored artifact's statistics, and verifies its structure fingerprint
-// against the current matrix's forward-solve graph (exit 1 on mismatch),
-// making it a shell-scriptable plan validity check.
+// --save-plan F serializes the plans a default-option IluPreconditioner
+// builds (forward plan to F, backward to F.upper, numeric-factorization
+// to F.factor, all planned for one-lane work) in the core/plan_io binary
+// format — the producer half of `solver_cli --load-plan F`. Batched
+// solves plan on first use and are not in the bundle. --load-plan F
+// instead loads F, prints the stored artifact's statistics, and verifies
+// its structure fingerprint against the current matrix's forward-solve
+// graph (exit 1 on mismatch), making it a shell-scriptable plan validity
+// check.
 
 #include <algorithm>
 #include <cstdio>
@@ -191,14 +193,18 @@ int main(int argc, char** argv) {
         rt.plan_cache_dir().c_str());
 
     if (!save_plan_path.empty()) {
-      // The producer half of `solver_cli --load-plan`: the forward-solve
-      // plan already built above, plus the backward-solve and numeric-
-      // factorization plans a preconditioned solve will ask for.
-      save_plan_file(*cold, save_plan_path);
-      const auto upper = rt.plan_for(upper_solve_dependences(ilu.upper()));
-      save_plan_file(*upper, save_plan_path + ".upper");
-      const auto factor = rt.plan_for(ilu.row_dependences());
-      save_plan_file(*factor, save_plan_path + ".factor");
+      // The producer half of `solver_cli --load-plan`: the plans a
+      // default-option preconditioner asks for at construction, i.e. for
+      // one-lane work (the factor's graph is the forward solve's, so F
+      // and F.factor hold the same plan).
+      const DoconsiderOptions one_lane = options_for_width({}, 1);
+      save_plan_file(*rt.plan_for(DependenceGraph(g), one_lane),
+                     save_plan_path);
+      save_plan_file(
+          *rt.plan_for(upper_solve_dependences(ilu.upper()), one_lane),
+          save_plan_path + ".upper");
+      save_plan_file(*rt.plan_for(ilu.row_dependences(), one_lane),
+                     save_plan_path + ".factor");
       std::printf("plan bundle      : saved %s{,.upper,.factor}\n",
                   save_plan_path.c_str());
     }

@@ -31,7 +31,9 @@ namespace rtl {
 enum class SchedulingPolicy {
   /// Topological sort of the whole index set, dealt wrapped to processors
   /// (Figures 9 and 10); under kPointToPoint each wavefront's index-sorted
-  /// members are dealt in contiguous chunks instead.
+  /// members are dealt in contiguous chunks instead. The solver layer asks
+  /// `options_for_width` which layout to plan: one-lane point-to-point
+  /// work walks a kLocalBlock plan, wider batches the contiguous deal.
   kGlobal,
   /// Fixed wrapped partition; each processor locally sorted by wavefront.
   kLocalWrapped,
@@ -90,6 +92,25 @@ struct DoconsiderOptions {
   // share one cache entry.
   if (o.execution == ExecutionPolicy::kDoAcross) {
     o.scheduling = SchedulingPolicy::kGlobal;
+  }
+  return o;
+}
+
+/// The options the solver layer plans work `width` right-hand sides wide
+/// under, when the caller asked for `o`. §2.3 offers two layouts: a
+/// global deal of each wavefront, which balances every phase, and a local
+/// block partition, which keeps each processor on its own rows. Under
+/// point-to-point `kGlobal`, one-lane work (a numeric factor, a single
+/// solve) waits less on the block partition (`kLocalBlock`), because most
+/// of a row's dependences stay on its own processor, while batched work
+/// (width > 1) has rows wide enough that the contiguous deal's balance
+/// wins. Every other option set maps to itself, so the paper's executors
+/// keep the layout they were asked for.
+[[nodiscard]] constexpr DoconsiderOptions options_for_width(
+    DoconsiderOptions o, index_t width) noexcept {
+  if (width == 1 && o.scheduling == SchedulingPolicy::kGlobal &&
+      o.execution == ExecutionPolicy::kPointToPoint) {
+    o.scheduling = SchedulingPolicy::kLocalBlock;
   }
   return o;
 }

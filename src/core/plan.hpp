@@ -272,8 +272,7 @@ class Plan {
                                    wrapped_partition(graph_.size(), nproc_));
         break;
       case SchedulingPolicy::kLocalBlock:
-        schedule_ = local_schedule(wavefronts_,
-                                   block_partition(graph_.size(), nproc_));
+        schedule_ = block_schedule(wavefronts_, nproc_);
         break;
     }
     derive_executor_data();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <stdexcept>
 
 namespace rtl {
@@ -120,48 +121,72 @@ Schedule contiguous_schedule(const WavefrontInfo& wf, int nproc) {
   return s;
 }
 
-Schedule local_schedule(const WavefrontInfo& wf, const Partition& part) {
-  const index_t n = wf.size();
-  if (part.size() != n) {
-    throw std::invalid_argument("local_schedule: partition size mismatch");
-  }
-  const int nproc = part.nproc();
+namespace {
 
+/// Processor p's slice of `s`, which starts at proc_ptr[p]: its indices
+/// `mine` (increasing) stably counting-sorted by wavefront — the local
+/// reorder that "simply rearranges the local ordering of those indices"
+/// (§1) — and its phase row.
+template <class Indices>
+void sort_local_by_wave(Schedule& s, const WavefrontInfo& wf, int p,
+                        const Indices& mine) {
+  // Counts land one slot right (row[w + 1] counts phase w) and the scan
+  // turns row[w] into phase w's start, so the fill can use row[w] as its
+  // cursor: afterwards row[w] holds phase w's end, i.e. row[w + 1]'s value
+  // before the fill, and one shift right restores the offsets.
+  index_t* row = phase_row_mut(s, p);
+  const auto phases = static_cast<std::size_t>(s.num_phases);
+  const index_t* wave = wf.wave.data();
+  for (const index_t i : mine) ++row[static_cast<std::size_t>(wave[i]) + 1];
+  row[0] = s.proc_ptr[static_cast<std::size_t>(p)];
+  for (std::size_t w = 0; w < phases; ++w) row[w + 1] += row[w];
+  for (const index_t i : mine) {
+    index_t& cursor = row[static_cast<std::size_t>(wave[i])];
+    s.order[static_cast<std::size_t>(cursor++)] = i;
+  }
+  std::copy_backward(row, row + phases, row + phases + 1);
+  row[0] = s.proc_ptr[static_cast<std::size_t>(p)];
+}
+
+/// A schedule of `nproc` processors over `wf` with proc_ptr still zero.
+Schedule empty_schedule(const WavefrontInfo& wf, int nproc) {
   Schedule s;
   s.nproc = nproc;
-  s.n = n;
+  s.n = wf.size();
   s.num_phases = wf.num_waves;
   s.proc_ptr.assign(static_cast<std::size_t>(nproc) + 1, 0);
-  for (int p = 0; p < nproc; ++p) {
+  s.order.resize(static_cast<std::size_t>(s.n));
+  init_phase_ptr(s);
+  return s;
+}
+
+}  // namespace
+
+Schedule local_schedule(const WavefrontInfo& wf, const Partition& part) {
+  if (part.size() != wf.size()) {
+    throw std::invalid_argument("local_schedule: partition size mismatch");
+  }
+  Schedule s = empty_schedule(wf, part.nproc());
+  for (int p = 0; p < s.nproc; ++p) {
     s.proc_ptr[static_cast<std::size_t>(p) + 1] =
         s.proc_ptr[static_cast<std::size_t>(p)] +
         static_cast<index_t>(part.members(p).size());
   }
-  s.order.resize(static_cast<std::size_t>(n));
-  init_phase_ptr(s);
+  for (int p = 0; p < s.nproc; ++p) {
+    sort_local_by_wave(s, wf, p, part.members(p));
+  }
+  return s;
+}
 
-  // Per-processor stable counting sort by wavefront: the local reorder that
-  // "simply rearranges the local ordering of those indices" (§1), writing
-  // straight into the processor's slice of the flat order array.
+Schedule block_schedule(const WavefrontInfo& wf, int nproc) {
+  if (nproc <= 0) {
+    throw std::invalid_argument("block_schedule: nproc must be >= 1");
+  }
+  Schedule s = empty_schedule(wf, nproc);
   for (int p = 0; p < nproc; ++p) {
-    const auto mine = part.members(p);
-    index_t* row = phase_row_mut(s, p);
-    for (const index_t i : mine) {
-      ++row[static_cast<std::size_t>(wf.wave[static_cast<std::size_t>(i)]) +
-            1];
-    }
-    row[0] = s.proc_ptr[static_cast<std::size_t>(p)];
-    for (index_t w = 0; w < s.num_phases; ++w) {
-      row[static_cast<std::size_t>(w) + 1] +=
-          row[static_cast<std::size_t>(w)];
-    }
-    std::vector<index_t> cursor(
-        row, row + static_cast<std::size_t>(s.num_phases));
-    for (const index_t i : mine) {
-      const index_t w = wf.wave[static_cast<std::size_t>(i)];
-      s.order[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(w)]++)] = i;
-    }
+    const BlockRange r = block_range(s.n, p, nproc);
+    s.proc_ptr[static_cast<std::size_t>(p) + 1] = r.end;
+    sort_local_by_wave(s, wf, p, std::views::iota(r.begin, r.end));
   }
   return s;
 }
@@ -249,6 +274,10 @@ SlabWaits slab_waits(const DependenceGraph& g, const WavefrontInfo& wf,
                      1,
                  0);
   if (s.nproc == 1) return out;  // nobody to wait for
+  // One allocation for the usual case: at most one wait per slab on
+  // average, and never more waits than dependence edges.
+  out.waits.reserve(std::min(out.ptr.size(),
+                             static_cast<std::size_t>(g.num_edges())));
   // The owner map is the derivation's one n-sized temporary (every plan
   // build and every plan load pays it): one byte per row for any team of
   // up to 256 processors keeps it a quarter of an index-wide map.

@@ -23,7 +23,8 @@
 ///    processor's own indices by wavefront number.
 ///
 /// The point-to-point executor deals each wavefront in contiguous chunks
-/// instead (`contiguous_schedule`) and walks a per-slab list of
+/// instead (`contiguous_schedule`) or walks the block partition
+/// (`block_schedule`), and waits through a per-slab list of
 /// cross-processor waits derived from any schedule (`slab_waits`).
 namespace rtl {
 
@@ -99,6 +100,13 @@ struct Schedule {
 /// stably reordered by increasing wavefront number.
 [[nodiscard]] Schedule local_schedule(const WavefrontInfo& wf,
                                       const Partition& part);
+
+/// Local scheduling over the block partition (`SchedulingPolicy::
+/// kLocalBlock`), built directly: processor p's `block_range` of the index
+/// set, counting-sorted by wavefront. The same arrays as
+/// `local_schedule(wf, block_partition(wf.size(), nproc))` without the
+/// n-entry owner map and member lists a `Partition` builds.
+[[nodiscard]] Schedule block_schedule(const WavefrontInfo& wf, int nproc);
 
 /// Degenerate schedule used by the doacross baseline: original iteration
 /// order striped over processors, every iteration its own phase locally

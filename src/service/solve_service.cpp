@@ -331,6 +331,13 @@ std::shared_ptr<SolveService::FactorEntry> SolveService::build_entry(
   try {
     entry->precond = std::make_unique<IluPreconditioner>(
         runtime_, entry->a, level);
+    // The aggregator coalesces requests by design, so bind the batched
+    // kernels with the matrix: which widths a run happens to coalesce
+    // must not decide which plans it builds (or finds on disk after a
+    // restart).
+    if (config_.max_batch > 1) {
+      entry->precond->triangular_solver().bind_batched();
+    }
   } catch (const std::invalid_argument& e) {
     fail(ServiceErrc::kBadRequest, e.what());
   }

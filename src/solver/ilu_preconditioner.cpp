@@ -21,7 +21,10 @@ struct FactorRowBody {
 IluPreconditioner::IluPreconditioner(Runtime& rt, const CsrMatrix& a,
                                      int level, DoconsiderOptions options)
     : ilu_(a, level) {
-  factor_plan_ = rt.plan_for(ilu_.row_dependences(), options);
+  // One lane per row: the factor walks the single-RHS layout, and its
+  // graph is the forward solve's, so the solver below hits this entry.
+  factor_plan_ =
+      rt.plan_for(ilu_.row_dependences(), options_for_width(options, 1));
   solver_ = std::make_unique<ParallelTriangularSolver>(rt, ilu_, options);
   workspaces_.reserve(static_cast<std::size_t>(rt.size()));
   for (int t = 0; t < rt.size(); ++t) workspaces_.emplace_back(ilu_.size());

@@ -20,19 +20,28 @@ namespace rtl {
 ///
 /// Construction performs the symbolic factorization (sequential, Appendix
 /// II §2.3) and the inspectors for both the numeric factorization and the
-/// triangular solves, then binds the solve kernels once; `factor()` runs
-/// the parallel numeric factorization (Figure 13's loop parallelized
-/// exactly like the solve) and may be called again whenever A's values
-/// change — the bound kernels see the new values in place. The
+/// single-RHS triangular solves, then binds the solve kernels once;
+/// `factor()` runs the parallel numeric factorization (Figure 13's loop
+/// parallelized exactly like the solve) and may be called again whenever
+/// A's values change — the bound kernels see the new values in place. The
 /// inspectors come from the `Runtime`'s structure-keyed plan cache, so
 /// rebuilding a preconditioner for a matrix with unchanged sparsity skips
 /// them entirely (a `Runtime` of capacity 0 with no directory runs them
-/// every time).
+/// every time). The factor and every single-RHS apply are one-lane work
+/// and plan for width 1 (`options_for_width`): the factor's row graph is
+/// the forward solve's, so the two share one cached plan. The first
+/// `apply_batch` wider than one column binds the batched kernels through
+/// the same cache (`ParallelTriangularSolver`), so `rt` must outlive the
+/// preconditioner.
 class IluPreconditioner : public Preconditioner {
  public:
   /// Symbolic phase + cached inspectors for `a` with fill level `level`.
   IluPreconditioner(Runtime& rt, const CsrMatrix& a, int level,
                     DoconsiderOptions options = {});
+
+  /// Pinned in place: the triangular solver refers to `factors()`.
+  IluPreconditioner(const IluPreconditioner&) = delete;
+  IluPreconditioner& operator=(const IluPreconditioner&) = delete;
 
   /// Parallel numeric factorization of `a` over the fixed pattern.
   /// `a` must have the structure the preconditioner was built with.
@@ -53,7 +62,8 @@ class IluPreconditioner : public Preconditioner {
   [[nodiscard]] ParallelTriangularSolver& triangular_solver() noexcept {
     return *solver_;
   }
-  /// The numeric-factorization plan, exposed for instrumentation.
+  /// The numeric-factorization plan, exposed for instrumentation. With a
+  /// caching `Runtime` it is `triangular_solver().lower_plan()` itself.
   [[nodiscard]] const Plan& factor_plan() const noexcept {
     return *factor_plan_;
   }

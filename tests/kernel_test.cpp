@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "kernel/batch.hpp"
 #include "kernel/bound_kernel.hpp"
 #include "solver/ilu_preconditioner.hpp"
+#include "solver/parallel_triangular.hpp"
 #include "sparse/ilu.hpp"
 #include "sparse/triangular.hpp"
 #include "workload/problems.hpp"
@@ -334,6 +336,55 @@ TEST(KernelConcurrency, TwoTeamsSolveThroughOneKernelSimultaneously) {
 
   EXPECT_EQ(ya, expected);
   EXPECT_EQ(yb, expected);
+}
+
+TEST(KernelConcurrency, TwoTeamsBindTheBatchedKernelsOnce) {
+  // A solver binds its batched kernels through the Runtime's cache on the
+  // first batched solve. Two teams that make that first solve at the same
+  // time must bind them once — two inspector runs and no cache hit — and
+  // both get the sequential answer. Runs under the TSan CI job.
+  constexpr int kTeamSize = 2;
+  constexpr index_t kWidth = 4;
+  Factored f;
+  const index_t n = f.ilu.size();
+  const auto nz = static_cast<std::size_t>(n);
+  Runtime rt(kTeamSize, 64, "");
+  ParallelTriangularSolver solver(rt, f.ilu);
+  const auto before = rt.plan_cache_counters();
+
+  BatchBuffer rhs(n, kWidth);
+  std::vector<std::vector<real_t>> expected(kWidth, std::vector<real_t>(nz));
+  for (index_t j = 0; j < kWidth; ++j) {
+    std::vector<real_t> col(f.system.rhs);
+    for (auto& v : col) v *= 1.0 + 0.5 * static_cast<real_t>(j);
+    rhs.set_column(j, col);
+    solve_lower_unit(f.ilu.lower(), col,
+                     expected[static_cast<std::size_t>(j)]);
+  }
+
+  ThreadTeam team_a(kTeamSize);
+  ThreadTeam team_b(kTeamSize);
+  BatchBuffer ya(n, kWidth), yb(n, kWidth);
+  std::latch start(2);
+  std::thread worker([&] {
+    start.arrive_and_wait();
+    solver.solve_lower(team_b, rhs.view(), yb.view());
+  });
+  start.arrive_and_wait();
+  solver.solve_lower(team_a, rhs.view(), ya.view());
+  worker.join();
+
+  const auto after = rt.plan_cache_counters();
+  EXPECT_EQ(after.misses, before.misses + 2);
+  EXPECT_EQ(after.hits, before.hits);
+  for (index_t j = 0; j < kWidth; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      const real_t want =
+          expected[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+      ASSERT_EQ(ya.view().at(i, j), want) << "team a col=" << j;
+      ASSERT_EQ(yb.view().at(i, j), want) << "team b col=" << j;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Teams, KernelSolveTest, ::testing::Values(1, 2, 4));

@@ -478,6 +478,71 @@ TEST(RuntimeCache, RepeatedPreconditionerSetupReusesCachedPlans) {
   EXPECT_EQ(z1, z2);
 }
 
+TEST(RuntimeCache, PreconditionerPlansFollowTheSolveWidth) {
+  // Default options (point-to-point kGlobal): one-lane work — the factor,
+  // single applies and k = 1 batches — walks the block-partition plans,
+  // and the factor shares the forward solve's entry, so setup builds two
+  // plans. The first wider batch binds the contiguous-deal pair through
+  // the cache (two more); later batches of any width add nothing. Every
+  // width gives the single apply's bits.
+  const auto prob = make_5pt();
+  const CsrMatrix& a = prob.system.a;
+  const index_t n = a.rows();
+  const auto nz = static_cast<std::size_t>(n);
+  const auto batch_of = [&](index_t k) {
+    BatchBuffer b(n, k);
+    for (index_t j = 0; j < k; ++j) b.set_column(j, prob.system.rhs);
+    return b;
+  };
+  const auto apply_batch = [&](IluPreconditioner& prec, Runtime& rt,
+                               index_t k, const std::vector<real_t>& z) {
+    const BatchBuffer r = batch_of(k);
+    BatchBuffer out(n, k);
+    prec.apply_batch(rt.team(), r.view(), out.view());
+    std::vector<real_t> col(nz);
+    for (index_t j = 0; j < k; ++j) {
+      out.get_column(j, col);
+      EXPECT_EQ(col, z) << "k=" << k << " col=" << j;
+    }
+  };
+
+  Runtime rt(2, 64, "");
+  IluPreconditioner prec(rt, a, 0);
+  prec.factor(rt.team(), a);
+  std::vector<real_t> z(nz);
+  prec.apply(rt.team(), prob.system.rhs, z);
+  apply_batch(prec, rt, 1, z);
+  EXPECT_EQ(rt.plan_cache_counters().misses, 2u);
+  EXPECT_EQ(&prec.factor_plan(), &prec.triangular_solver().lower_plan());
+  EXPECT_EQ(prec.factor_plan().options().scheduling,
+            SchedulingPolicy::kLocalBlock);
+  EXPECT_EQ(prec.triangular_solver().upper_plan().options().scheduling,
+            SchedulingPolicy::kLocalBlock);
+  apply_batch(prec, rt, 4, z);
+  EXPECT_EQ(rt.plan_cache_counters().misses, 4u);
+  apply_batch(prec, rt, 4, z);
+  apply_batch(prec, rt, 16, z);
+  apply_batch(prec, rt, 1, z);
+  const auto cc = rt.plan_cache_counters();
+  EXPECT_EQ(cc.misses, 4u);
+  EXPECT_EQ(cc.hits, 1u);  // the forward solve's hit on the factor plan
+  EXPECT_EQ(cc.entries, 4u);
+
+  // The paper's executors plan one layout for every width.
+  DoconsiderOptions pre;
+  pre.execution = ExecutionPolicy::kPreScheduled;
+  Runtime rt_pre(2, 64, "");
+  IluPreconditioner prec_pre(rt_pre, a, 0, pre);
+  prec_pre.factor(rt_pre.team(), a);
+  std::vector<real_t> z_pre(nz);
+  prec_pre.apply(rt_pre.team(), prob.system.rhs, z_pre);
+  EXPECT_EQ(z_pre, z);
+  for (const index_t k : {1, 4, 16}) apply_batch(prec_pre, rt_pre, k, z);
+  EXPECT_EQ(rt_pre.plan_cache_counters().misses, 2u);
+  EXPECT_EQ(prec_pre.factor_plan().options().scheduling,
+            SchedulingPolicy::kGlobal);
+}
+
 TEST(PlanStatsTest, FootprintAndShapeMatchTheArtifact) {
   ThreadTeam team(2);
   auto loop = SimpleLoop::make(333, 87);

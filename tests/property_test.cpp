@@ -106,6 +106,7 @@ TEST_P(DagPropertyTest, SchedulesAreAlwaysValid) {
                     wf);
   validate_schedule(local_schedule(wf, block_partition(g.size(), p.nproc)),
                     wf);
+  validate_schedule(block_schedule(wf, p.nproc), wf);
 }
 
 TEST_P(DagPropertyTest, GlobalScheduleBalancesPhasesWithinOne) {
@@ -251,7 +252,8 @@ TEST_P(DagPropertyTest, FlatScheduleMatchesJaggedReference) {
   // The CSR-layout schedule (one order array + proc_ptr/phase_ptr) must be
   // iteration-for-iteration identical to the naive jagged construction for
   // every scheduling policy — the wrapped and the contiguous global deal
-  // included — and processor count.
+  // included — and processor count. The direct `block_schedule` must build
+  // the very arrays of the block partition's local schedule.
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -275,9 +277,17 @@ TEST_P(DagPropertyTest, FlatScheduleMatchesJaggedReference) {
         case SchedulingPolicy::kLocalWrapped:
           s = local_schedule(wf, wrapped_partition(g.size(), nproc));
           break;
-        case SchedulingPolicy::kLocalBlock:
+        case SchedulingPolicy::kLocalBlock: {
           s = local_schedule(wf, block_partition(g.size(), nproc));
+          const Schedule direct = block_schedule(wf, nproc);
+          ASSERT_EQ(direct.nproc, s.nproc);
+          ASSERT_EQ(direct.n, s.n);
+          ASSERT_EQ(direct.num_phases, s.num_phases);
+          ASSERT_EQ(direct.order, s.order) << "nproc=" << nproc;
+          ASSERT_EQ(direct.proc_ptr, s.proc_ptr) << "nproc=" << nproc;
+          ASSERT_EQ(direct.phase_ptr, s.phase_ptr) << "nproc=" << nproc;
           break;
+        }
       }
       const auto j = jagged_reference(wf, policy, nproc, contiguous);
       ASSERT_EQ(s.nproc, nproc);
@@ -310,8 +320,9 @@ TEST_P(DagPropertyTest, SlabWaitsAreSufficientMinimalAndAcyclic) {
   // freedom), raises what the processor has already waited for from that
   // producer (no redundant wait), and before each slab runs every
   // cross-processor dependence of its rows is covered. Checked on the
-  // contiguous deal and a local partition, and on a 300-processor team
-  // (more processors than a one-byte owner map can name).
+  // contiguous deal, the wrapped and the block partition, and on a
+  // 300-processor team (more processors than a one-byte owner map can
+  // name).
   const auto param = GetParam();
   const std::uint64_t seed = test_seed(param.seed);
   SCOPED_TRACE(seed_trace(seed));
@@ -320,7 +331,8 @@ TEST_P(DagPropertyTest, SlabWaitsAreSufficientMinimalAndAcyclic) {
   for (const int nproc : {param.nproc, 300}) {
     for (const auto& s :
          {contiguous_schedule(wf, nproc),
-          local_schedule(wf, wrapped_partition(g.size(), nproc))}) {
+          local_schedule(wf, wrapped_partition(g.size(), nproc)),
+          block_schedule(wf, nproc)}) {
       const SlabWaits waits = slab_waits(g, wf, s);
       const auto phases = static_cast<std::size_t>(s.num_phases);
       ASSERT_EQ(waits.ptr.size(), static_cast<std::size_t>(nproc) * phases + 1);
@@ -438,8 +450,9 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
   // The acceptance property of the kernel layer: a batched solve with k
   // right-hand sides equals k single-RHS solves bit-for-bit, and every
   // single solve equals the sequential Figure 8 loop (sparse/triangular),
-  // under every executor, the three scheduling policies, every processor
-  // count 1..8 and k in {1, 2, 4, 16}. The batched bodies run their lanes
+  // under every executor, the three scheduling policies (point-to-point on
+  // both layouts `options_for_width` picks), every processor count 1..8
+  // and k in {1, 2, 4, 16}. The batched bodies run their lanes
   // under `omp simd` and the single-RHS bodies are scalar, so this is also
   // the SIMD pin: one differing bit means a lane loop reordered arithmetic
   // or an executor ran a row before its dependences.
@@ -473,6 +486,7 @@ TEST_P(DagPropertyTest, BatchedKernelSolveIsBitForBitKSingleSolves) {
       {ExecutionPolicy::kPreScheduled, SchedulingPolicy::kGlobal},
       {ExecutionPolicy::kDoAcross, SchedulingPolicy::kGlobal},
       {ExecutionPolicy::kPointToPoint, SchedulingPolicy::kGlobal},
+      {ExecutionPolicy::kPointToPoint, SchedulingPolicy::kLocalBlock},
   };
   for (int nproc = 1; nproc <= 8; ++nproc) {
     ThreadTeam team(nproc);

@@ -88,6 +88,7 @@ TEST(ServiceStressTest, ConcurrentClientsExactlyOnceAndBitForBit) {
   config.team_size = 2;
   config.queue_capacity = 256;  // ample: no rejects in this test
   config.batch_window = std::chrono::microseconds(2000);
+  config.plan_cache_capacity = 8;  // hermetic: no RTL_PLAN_CACHE_CAP
   config.plan_cache_dir = "";
   SolveService service(config);
   const std::string path = temp_socket("main");
@@ -154,8 +155,9 @@ TEST(ServiceStressTest, ConcurrentClientsExactlyOnceAndBitForBit) {
   EXPECT_EQ(m.sessions_opened, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(m.sessions_closed, static_cast<std::uint64_t>(kClients));
   // The factorization is shared service-wide: one inspector pass per plan,
-  // not one per client.
-  EXPECT_LE(m.inspector_runs(), 3u);
+  // not one per client. Registration plans the single-RHS pair (the factor
+  // shares the forward solve's plan) and binds the batched pair.
+  EXPECT_EQ(m.inspector_runs(), 4u);
   // The aggregator demonstrably coalesced concurrent requests.
   EXPECT_GT(m.multi_request_batches(), 0u)
       << "no batch ever held more than one request";
