@@ -10,7 +10,9 @@
 // efficiencies of the four scheduling/execution combinations on P
 // processors (the paper's Figure 1 matrix), the inspector costs, and the
 // plan fingerprint plus Runtime plan-cache counters (one cold and one
-// warm `plan_for`, so cache behavior is observable from the shell).
+// warm `plan_for`, so cache behavior is observable from the shell). P
+// defaults to RTL_PROCS when set, else the host's hardware threads, as in
+// solver_cli, so a bundle saved with the defaults loads there with them.
 //
 // --save-plan F serializes the plans a default-option IluPreconditioner
 // builds (forward plan to F, backward to F.upper, numeric-factorization
@@ -32,6 +34,7 @@
 #include "core/plan_io.hpp"
 #include "core/runtime.hpp"
 #include "graph/wavefront.hpp"
+#include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 #include "sparse/ilu.hpp"
 #include "sparse/matrix_market.hpp"
@@ -47,7 +50,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--matrix FILE.mtx | --problem NAME] [--procs P]\n"
                "          [--level K] [--reorder natural|rcm|wavefront]\n"
-               "          [--save-plan F] [--load-plan F]\n",
+               "          [--save-plan F] [--load-plan F]\n"
+               "P defaults to RTL_PROCS when set, else the host's hardware "
+               "threads.\n",
                argv0);
   return 2;
 }
@@ -72,7 +77,7 @@ int main(int argc, char** argv) {
   std::string reorder = "natural";
   std::string save_plan_path;
   std::string load_plan_path;
-  int procs = 16;
+  int procs = default_solver_team_size(0);
   int level = 0;
 
   for (int i = 1; i < argc; ++i) {

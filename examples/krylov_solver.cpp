@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
@@ -26,7 +27,9 @@ int main() {
   std::printf("problem %s: n = %d, nnz = %d\n", prob.name.c_str(), a.rows(),
               a.nnz());
 
-  Runtime rt(16);
+  // RTL_PROCS when set, else one member per hardware thread: a larger team
+  // oversubscribes the busy-wait executors.
+  Runtime rt(default_solver_team_size(0));
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting}) {
     ThreadTeam& team = rt.team();

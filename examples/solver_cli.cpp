@@ -10,7 +10,9 @@
 // Reads a Matrix Market file (or generates a named Appendix I problem),
 // builds the ILU(K) preconditioner with the chosen inspector/executor
 // configuration, runs GMRES(30), and reports timings, iteration counts
-// and the inspector statistics. With --rhs K > 1, K right-hand sides are
+// and the inspector statistics. P defaults to RTL_PROCS when set, else
+// the host's hardware threads, so the busy-wait executors never
+// oversubscribe by default. With --rhs K > 1, K right-hand sides are
 // solved through the multi-RHS driver: the inspector, the factorization
 // and the bound solve kernels are paid once and amortized over all K
 // solves (per-rhs setup and solve times are reported).
@@ -35,6 +37,7 @@
 #include "core/runtime.hpp"
 #include "graph/wavefront.hpp"
 #include "kernel/batch.hpp"
+#include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
@@ -56,6 +59,7 @@ int usage(const char* argv0) {
       "          [--reorder none|rcm|wavefront]\n"
       "          [--save-plan F] [--load-plan F]\n"
       "NAME: spe1..spe5, 5pt, 9pt, 7pt, l5pt, l9pt, l7pt\n"
+      "P defaults to RTL_PROCS when set, else the host's hardware threads.\n"
       "--reorder applies a symmetric permutation before factoring: rcm\n"
       "(bandwidth-reducing) or wavefront (level-set order); before/after\n"
       "bandwidth and forward-solve wavefront counts are printed.\n"
@@ -86,7 +90,7 @@ LinearSystem named_problem(const std::string& name) {
 int main(int argc, char** argv) {
   std::string matrix_path;
   std::string problem = "spe5";
-  int procs = 16;
+  int procs = default_solver_team_size(0);
   int level = 0;
   int nrhs = 1;
   std::string reorder = "none";

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "runtime/spin_wait.hpp"
 
@@ -138,6 +139,25 @@ void ThreadTeam::worker_loop(int tid) {
       outstanding_.fetch_sub(1, std::memory_order_release);
     }
   }
+}
+
+ThreadTeam::ScratchLease::ScratchLease(ThreadTeam& team) noexcept
+    : team_(team), blocks_(std::exchange(team.scratch_, {})) {}
+
+ThreadTeam::ScratchLease::~ScratchLease() {
+  // A nested lease that ended first has already put its list back.
+  if (team_.scratch_.empty()) team_.scratch_ = std::move(blocks_);
+}
+
+std::span<real_t> ThreadTeam::ScratchLease::take(std::size_t len) {
+  if (next_ == blocks_.size()) blocks_.emplace_back();
+  ScratchBlock& block = blocks_[next_++];
+  if (block.capacity < len) {
+    block = {};  // free first: the old and the new block are never both held
+    block.data = std::make_unique_for_overwrite<real_t[]>(len);
+    block.capacity = len;
+  }
+  return {block.data.get(), len};
 }
 
 int default_solver_team_size(int reserved_threads) noexcept {

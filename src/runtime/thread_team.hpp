@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -64,6 +66,9 @@ class ThreadTeam {
 
   ThreadTeam(const ThreadTeam&) = delete;
   ThreadTeam& operator=(const ThreadTeam&) = delete;
+
+  /// RAII loan of the team's reusable scratch blocks (defined below).
+  class ScratchLease;
 
   /// Number of team members (including the caller).
   [[nodiscard]] int size() const noexcept { return num_threads_; }
@@ -146,6 +151,49 @@ class ThreadTeam {
   std::mutex error_mutex_;
   std::exception_ptr error_;
   alignas(cache_line_size) std::atomic<bool> abort_{false};
+
+  // Scratch blocks lent out by ScratchLease; declared last so that no hot
+  // member above moves.
+  struct ScratchBlock {
+    std::unique_ptr<real_t[]> data;
+    std::size_t capacity = 0;
+  };
+  std::vector<ScratchBlock> scratch_;
+};
+
+/// Lends the team's scratch blocks to one solve, so that repeated solves
+/// reuse the memory of the first instead of allocating, zero-filling and
+/// page-faulting their vectors afresh: the set-up-once, execute-many
+/// amortization of §5.1.1 applied to the Krylov drivers' basis and work
+/// vectors.
+///
+/// Making a lease moves the team's whole block list out; ending it, on the
+/// normal path or on unwind, moves the list back. `take(len)` returns the
+/// lease's next block: reused when it holds at least `len` values, else
+/// freed and replaced by an uninitialized block of `len`. Contents are
+/// unspecified (nothing is zero-filled). A lease made while another is
+/// live on the same team (a preconditioner that solves on its caller's
+/// team) finds the list empty and allocates its own blocks, so two leases
+/// never alias; the team keeps the list that comes back first and frees
+/// the other. The memory held is thus bounded by the largest blocks any
+/// solve took, and is freed with the team. Like `run`, leases serve one
+/// calling thread at a time per team.
+class ThreadTeam::ScratchLease {
+ public:
+  explicit ScratchLease(ThreadTeam& team) noexcept;
+  ~ScratchLease();
+
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  /// The lease's next block: `len` values, contents unspecified, valid
+  /// until the lease ends.
+  [[nodiscard]] std::span<real_t> take(std::size_t len);
+
+ private:
+  ThreadTeam& team_;
+  std::vector<ScratchBlock> blocks_;
+  std::size_t next_ = 0;
 };
 
 /// Sane default team size for a long-running process that also owns

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -43,9 +42,15 @@ void apply_precond_batch(ThreadTeam& team, Preconditioner* m,
   m->apply_batch(team, r, z);
 }
 
+/// An n×k batch over the lease's next block.
+BatchView take_batch(ThreadTeam::ScratchLease& lease, index_t n, index_t k) {
+  const auto len = static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
+  return {lease.take(len).data(), n, k};
+}
+
 /// GMRES(m) needs m >= 1: with m = 0 no Arnoldi step ever runs (the
 /// single-RHS driver would restart forever) and a negative m sizes no
-/// basis. Checked before anything is allocated.
+/// basis. Checked before the drivers take any scratch.
 void require_restart(const KrylovOptions& options) {
   if (options.restart < 1) {
     throw std::invalid_argument("gmres_solve: restart must be >= 1, got " +
@@ -118,10 +123,10 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   assert(static_cast<index_t>(b.size()) == n);
   assert(static_cast<index_t>(x.size()) == n);
   const SpMVKernel spmv = SpMVKernel::bind(a);
-  std::vector<real_t> r(static_cast<std::size_t>(n));
-  std::vector<real_t> z(static_cast<std::size_t>(n));
-  std::vector<real_t> p(static_cast<std::size_t>(n));
-  std::vector<real_t> q(static_cast<std::size_t>(n));
+  ThreadTeam::ScratchLease lease(team);
+  const auto nz = static_cast<std::size_t>(n);
+  const std::span<real_t> r = lease.take(nz), z = lease.take(nz),
+                          p = lease.take(nz), q = lease.take(nz);
 
   // r = b - A x
   spmv.apply(team, x, r);
@@ -186,8 +191,10 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   const index_t k = b.width();
   const auto ks = static_cast<std::size_t>(k);
   const SpMVKernel spmv = SpMVKernel::bind(a);
+  ThreadTeam::ScratchLease lease(team);
+  const BatchView r = take_batch(lease, n, k), z = take_batch(lease, n, k),
+                  p = take_batch(lease, n, k), q = take_batch(lease, n, k);
 
-  BatchBuffer r(n, k), z(n, k), p(n, k), q(n, k);
   std::vector<KrylovResult> results(ks);
   // Columns iterate in lockstep; a column that converges, breaks down
   // (or exhausts its budget) is frozen — masked out of every state
@@ -208,15 +215,15 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   };
 
   // r = b - A x
-  spmv.apply(team, x, r.view());
+  spmv.apply(team, x, r);
   std::fill(coef.begin(), coef.end(), -1.0);
-  par_batch_xpby(team, b, coef, r.view());
+  par_batch_xpby(team, b, coef, r);
 
   par_batch_norm2(team, b, target);
   for (std::size_t j = 0; j < ks; ++j) {
     target[j] = options.rtol * (target[j] > 0.0 ? target[j] : 1.0);
   }
-  par_batch_norm2(team, r.view(), rnorm);
+  par_batch_norm2(team, r, rnorm);
   for (std::size_t j = 0; j < ks; ++j) {
     if (rnorm[j] <= target[j]) {
       results[j].converged = true;
@@ -228,23 +235,25 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
   }
   if (n_active == 0) return results;
 
-  apply_precond_batch(team, precond, r.view(), z.view());
-  par_batch_copy(team, z.view(), p.view(), active.data());
-  par_batch_dot(team, r.view(), z.view(), rho);
+  apply_precond_batch(team, precond, r, z);
+  // Unmasked: the SpMV and the dots below read every lane of p, so the
+  // columns that converged at entry get one too.
+  par_batch_copy(team, z, p);
+  par_batch_dot(team, r, z, rho);
   for (std::size_t j = 0; j < ks; ++j) stop_on_breakdown(j, rho[j]);
 
   for (int it = 0; it < options.max_iterations && n_active > 0; ++it) {
-    spmv.apply(team, p.view(), q.view());
-    par_batch_dot(team, p.view(), q.view(), dots);
+    spmv.apply(team, p, q);
+    par_batch_dot(team, p, q, dots);
     for (std::size_t j = 0; j < ks; ++j) {
       stop_on_breakdown(j, dots[j]);
       coef[j] = active[j] ? rho[j] / dots[j] : 0.0;  // alpha
     }
-    par_batch_axpy(team, coef, p.view(), x, active.data());
+    par_batch_axpy(team, coef, p, x, active.data());
     for (std::size_t j = 0; j < ks; ++j) coef[j] = -coef[j];
-    par_batch_axpy(team, coef, q.view(), r.view(), active.data());
+    par_batch_axpy(team, coef, q, r, active.data());
 
-    par_batch_norm2(team, r.view(), rnorm);
+    par_batch_norm2(team, r, rnorm);
     for (std::size_t j = 0; j < ks; ++j) {
       if (!active[j]) continue;
       ++results[j].iterations;
@@ -257,15 +266,15 @@ std::vector<KrylovResult> pcg_solve(ThreadTeam& team, const CsrMatrix& a,
     }
     if (n_active == 0) break;
 
-    apply_precond_batch(team, precond, r.view(), z.view());
-    par_batch_dot(team, r.view(), z.view(), dots);  // rho_next
+    apply_precond_batch(team, precond, r, z);
+    par_batch_dot(team, r, z, dots);  // rho_next
     for (std::size_t j = 0; j < ks; ++j) {
       stop_on_breakdown(j, dots[j]);
       coef[j] = active[j] ? dots[j] / rho[j] : 0.0;  // beta
       if (active[j]) rho[j] = dots[j];
     }
     // p = z + beta p
-    par_batch_xpby(team, z.view(), coef, p.view(), active.data());
+    par_batch_xpby(team, z, coef, p, active.data());
   }
   for (std::size_t j = 0; j < ks; ++j) {
     if (active[j]) results[j].residual_norm = rnorm[j];
@@ -284,22 +293,30 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
   assert(static_cast<index_t>(x.size()) == n);
   const int m = options.restart;
   const SpMVKernel spmv = SpMVKernel::bind(a);
+  ThreadTeam::ScratchLease lease(team);
+  const auto nz = static_cast<std::size_t>(n);
+  const std::span<real_t> work = lease.take(nz);
+  const std::span<real_t> work2 = lease.take(nz);
 
-  // Krylov basis V (m+1 vectors) + Hessenberg H ((m+1) x m, column major
-  // by iteration), Givens rotations (cs, sn), residual vector g.
-  std::vector<std::vector<real_t>> basis(
-      static_cast<std::size_t>(m) + 1,
-      std::vector<real_t>(static_cast<std::size_t>(n)));
-  // Step j projects against the first j+1 of these (par_mgs).
+  // Krylov basis v_0..v_m: v(i) takes its block when the Arnoldi index
+  // first reaches i, so a solve that converges in a few steps touches a
+  // few blocks. vptr holds the same pointers: step j projects against the
+  // first j+1 (par_mgs). Hessenberg H ((m+1) x m, column major by
+  // iteration), Givens rotations (cs, sn), residual vector g.
+  std::vector<std::span<real_t>> basis;
   std::vector<const real_t*> vptr;
-  for (const auto& v : basis) vptr.push_back(v.data());
+  const auto v = [&](std::size_t i) {
+    if (i == basis.size()) {
+      basis.push_back(lease.take(nz));
+      vptr.push_back(basis.back().data());
+    }
+    return basis[i];
+  };
   std::vector<real_t> h(static_cast<std::size_t>((m + 1) * m), 0.0);
   std::vector<real_t> cs(static_cast<std::size_t>(m), 0.0);
   std::vector<real_t> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<real_t> g(static_cast<std::size_t>(m) + 1, 0.0);
   std::vector<real_t> y(static_cast<std::size_t>(m), 0.0);
-  std::vector<real_t> work(static_cast<std::size_t>(n));
-  std::vector<real_t> work2(static_cast<std::size_t>(n));
 
   // Convergence target in the *preconditioned* norm.
   apply_precond(team, precond, b, work);
@@ -312,13 +329,14 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     // r = M^{-1} (b - A x)
     spmv.apply(team, x, work);
     par_xpby(team, b, -1.0, work);
-    apply_precond(team, precond, work, basis[0]);
-    beta = par_norm2(team, basis[0]);
+    const std::span<real_t> v0 = v(0);
+    apply_precond(team, precond, work, v0);
+    beta = par_norm2(team, v0);
     if (beta <= target) {
       result.converged = true;
       break;
     }
-    par_scale(team, 1.0 / beta, basis[0]);
+    par_scale(team, 1.0 / beta, v0);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
@@ -327,12 +345,12 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
       ++result.iterations;
       const auto ju = static_cast<std::size_t>(j);
       // w = M^{-1} A v_j
+      const std::span<real_t> w = v(ju + 1);
       spmv.apply(team, basis[ju], work2);
-      apply_precond(team, precond, work2, basis[ju + 1]);
+      apply_precond(team, precond, work2, w);
       // Modified Gram-Schmidt, norm and scale: H(0..j+1, j), v_{j+1}.
       real_t* hj = h.data() + ju * (static_cast<std::size_t>(m) + 1);
-      par_mgs(team, std::span(vptr).first(ju + 1), basis[ju + 1],
-              {hj, ju + 2});
+      par_mgs(team, std::span(vptr).first(ju + 1), w, {hj, ju + 2});
       if (!givens_step(hj, j, cs, sn, g)) {
         result.breakdown = true;
         break;
@@ -367,28 +385,30 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 
 namespace {
 
-/// Per-column state of the lockstep batched GMRES. Each column owns its
-/// iterate, its basis (m+1 contiguous vectors of n) and its Hessenberg
-/// data, and walks the exact state machine of the single-RHS driver.
+/// Per-column state of the lockstep batched GMRES. Each column keeps its
+/// iterate x and its basis v_0..v_m as one block of (m+2)·n values (x
+/// first, then m+1 contiguous vectors of n), which the solve touches
+/// front to back, owns its Hessenberg data, and walks the exact state
+/// machine of the single-RHS driver.
 struct GmresColumn {
   enum class Phase { kStart, kArnoldi, kDone };
 
-  GmresColumn(std::size_t rows, int restart)
+  /// `block` holds (restart+2)·rows values. x and every basis vector are
+  /// written (the initial unpack, the tick's unpack) before they are read,
+  /// so its contents need not be initialized.
+  GmresColumn(std::span<real_t> block, std::size_t rows, int restart)
       : n(rows),
         m(restart),
-        x(rows),
-        // Every basis vector is written by the tick's unpack before it is
-        // read, so the ~(m+1)·n values need no zero fill.
-        basis(std::make_unique_for_overwrite<real_t[]>(
-            (static_cast<std::size_t>(restart) + 1) * rows)),
+        x(block.first(rows)),
+        basis(block.subspan(rows)),
         h(static_cast<std::size_t>((restart + 1) * restart), 0.0),
         cs(static_cast<std::size_t>(restart), 0.0),
         sn(static_cast<std::size_t>(restart), 0.0),
         g(static_cast<std::size_t>(restart) + 1, 0.0),
         y(static_cast<std::size_t>(restart), 0.0) {}
 
-  [[nodiscard]] std::span<real_t> v(int i) {
-    return {basis.get() + static_cast<std::size_t>(i) * n, n};
+  [[nodiscard]] std::span<real_t> v(int i) const {
+    return basis.subspan(static_cast<std::size_t>(i) * n, n);
   }
   real_t& H(int row, int step) {
     return h[static_cast<std::size_t>(step * (m + 1) + row)];
@@ -400,8 +420,8 @@ struct GmresColumn {
   int j = 0;            // current Arnoldi index within the cycle
   real_t beta = 0.0;    // last cycle-start residual norm
   real_t target = 0.0;  // preconditioned-norm convergence target
-  std::vector<real_t> x;
-  std::unique_ptr<real_t[]> basis;
+  std::span<real_t> x;
+  std::span<real_t> basis;
   std::vector<real_t> h, cs, sn, g, y;
   KrylovResult res;
 };
@@ -517,12 +537,16 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
   const auto ks = static_cast<std::size_t>(k);
   const int p = team.size();
   const SpMVKernel spmv = SpMVKernel::bind(a);
-
-  BatchBuffer in(n, k), mid(n, k), out(n, k);
+  ThreadTeam::ScratchLease lease(team);
+  const auto nz = static_cast<std::size_t>(n);
+  const BatchView in = take_batch(lease, n, k),
+                  mid = take_batch(lease, n, k),
+                  out = take_batch(lease, n, k);
+  const auto col_len = (static_cast<std::size_t>(options.restart) + 2) * nz;
   std::vector<GmresColumn> cols;
   cols.reserve(ks);
   for (std::size_t c = 0; c < ks; ++c) {
-    cols.emplace_back(static_cast<std::size_t>(n), options.restart);
+    cols.emplace_back(lease.take(col_len), nz, options.restart);
   }
   // Per-tick column operands: pack sources and unpack destinations (null
   // for an idle column) and the columns the column region runs.
@@ -536,9 +560,9 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 
   // Convergence targets in the preconditioned norm: one batched apply of
   // M^{-1} to all of b, unpacked into each column's v0.
-  apply_precond_batch(team, precond, b, out.view());
+  apply_precond_batch(team, precond, b, out);
   for (std::size_t c = 0; c < ks; ++c) dst[c] = cols[c].v(0).data();
-  par_unpack_columns(team, out.view(), dst);
+  par_unpack_columns(team, out, dst);
   for_each_column(team, live, [&](std::size_t c) {
     const real_t pb_norm = team_order_norm2(cols[c].v(0), p);
     cols[c].target = options.rtol * (pb_norm > 0.0 ? pb_norm : 1.0);
@@ -574,13 +598,13 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
     // v_j for an Arnoldi step), one batched SpMV, b - A x for the cycle
     // starts, one batched preconditioner apply, unpack into v0 / v_{j+1},
     // then every live column's step on one member each.
-    par_pack_columns(team, src, in.view());
-    spmv.apply(team, in.view(), mid.view());
+    par_pack_columns(team, src, in);
+    spmv.apply(team, in, mid);
     if (any_start) {
-      par_batch_xpby(team, b, minus_one, mid.view(), starting.data());
+      par_batch_xpby(team, b, minus_one, mid, starting.data());
     }
-    apply_precond_batch(team, precond, mid.view(), out.view());
-    par_unpack_columns(team, out.view(), dst);
+    apply_precond_batch(team, precond, mid, out);
+    par_unpack_columns(team, out, dst);
     for_each_column(team, live, [&](std::size_t c) {
       auto& col = cols[c];
       if (col.phase == GmresColumn::Phase::kStart) {

@@ -46,6 +46,15 @@ struct KrylovResult {
 /// Preconditioned conjugate gradients for symmetric positive definite A.
 /// `precond` may be null (plain CG). x holds the initial guess on entry and
 /// the solution on exit.
+///
+/// Every driver below takes its n- and n×k-sized vectors from `team`'s
+/// scratch blocks (`ThreadTeam::ScratchLease`): a repeated solve on the
+/// same team reuses the blocks, and their resident pages, that the last
+/// one left instead of allocating and zero-filling fresh ones, and the
+/// team frees them when it is destroyed. Only the small per-solve arrays
+/// (Hessenberg data, rotations, per-column scalars, the results) are
+/// allocated per call. A preconditioner may itself solve on `team` from
+/// inside `apply`: the nested solve borrows blocks of its own.
 KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                        std::span<const real_t> b, std::span<real_t> x,
                        Preconditioner* precond,
@@ -53,8 +62,10 @@ KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
 
 /// Left-preconditioned restarted GMRES(m) for general nonsymmetric A.
 /// `precond` may be null. x holds the initial guess / solution. Throws
-/// std::invalid_argument, before allocating anything, unless
-/// `options.restart >= 1` (as does the multi-RHS overload).
+/// std::invalid_argument, before taking any scratch, unless
+/// `options.restart >= 1` (as does the multi-RHS overload). Takes `work`,
+/// `work2` and v_0, then v_{j+1} when step j first reaches it, so a solve
+/// that converges in a few steps touches a few of the m+1 basis blocks.
 ///
 /// One Arnoldi step is four team regions: the SpMV, the L solve and the
 /// U solve of the preconditioner, then `par_mgs` — the whole modified
@@ -85,10 +96,10 @@ KrylovResult gmres_solve(ThreadTeam& team, const CsrMatrix& a,
 /// PCG updates its columns with the masked `par_batch_*` ops, whose
 /// per-column results equal the single-vector ops bit for bit.
 ///
-/// GMRES keeps each column's iterate and basis as contiguous vectors and
-/// runs one tick as: a row-parallel transpose (`par_pack_columns`) of
-/// every live column's operand — x at a cycle start, v_j in an Arnoldi
-/// step — into the SpMV input batch; the batched SpMV (and b - A x for
+/// GMRES keeps each column's iterate and basis as one contiguous block of
+/// (m+2)·n values (x, v_0, ..., v_m) and runs one tick as: a row-parallel
+/// transpose (`par_pack_columns`) of every live column's operand — x at a
+/// cycle start, v_j in an Arnoldi step — into the SpMV input batch; the batched SpMV (and b - A x for
 /// the cycle starts); the batched preconditioner; a transpose back
 /// (`par_unpack_columns`) into each column's v_0 or v_{j+1}; and ONE
 /// column region in which members take whole columns from a shared
@@ -108,9 +119,10 @@ std::vector<KrylovResult> gmres_solve(ThreadTeam& team, const CsrMatrix& a,
                                       Preconditioner* precond,
                                       const KrylovOptions& options = {});
 
-/// Runtime-context overloads: solve on `rt`'s owned team. Pair with
-/// preconditioners built on the same Runtime so their inspector plans come
-/// from (and populate) its structure-keyed cache.
+/// Runtime-context overloads: solve on `rt`'s owned team, whose scratch
+/// blocks the solves therefore reuse across calls, as the plans are. Pair
+/// with preconditioners built on the same Runtime so their inspector plans
+/// come from (and populate) its structure-keyed cache.
 inline KrylovResult pcg_solve(Runtime& rt, const CsrMatrix& a,
                               std::span<const real_t> b, std::span<real_t> x,
                               Preconditioner* precond,

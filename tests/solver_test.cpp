@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "core/runtime.hpp"
+#include "krylov_cases.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
 #include "solver/parallel_triangular.hpp"
@@ -702,6 +705,110 @@ TEST(KrylovBreakdown, PcgStopsBeforeDividingByZeroCurvature) {
   EXPECT_TRUE(s[1].res.converged);
   EXPECT_FALSE(s[1].res.breakdown);
   EXPECT_EQ(s[1].res.iterations, 1);
+}
+
+// ---------------------------------------------------------------------
+// Team-owned scratch: every driver takes its n- and n×k-sized vectors
+// from blocks its team keeps across solves, uninitialized. Whatever one
+// solve leaves there must never reach a later solve's result.
+// ---------------------------------------------------------------------
+
+using krylov_cases::batched;
+using krylov_cases::Driver;
+using krylov_cases::expect_same_solve;
+using krylov_cases::kDrivers;
+using krylov_cases::Solve;
+using krylov_cases::solve_on;
+
+/// The same solve on a fresh Runtime of `procs` members, whose team has
+/// lent no block before.
+Solve fresh_solve(int procs, Driver d, const CsrMatrix& a,
+                  const BatchBuffer& b, const KrylovOptions& opt) {
+  Runtime rt(procs, 0, "");
+  IluPreconditioner m(rt, a, 0);
+  m.factor(rt.team(), a);
+  return solve_on(rt.team(), d, a, &m, b, opt);
+}
+
+/// k right-hand sides on the SPD Laplacian: column 1 is zero (it
+/// converges at entry), the rest are distinctly scaled ones.
+BatchBuffer rhs_with_zero_column(index_t n, index_t k) {
+  BatchBuffer b = scaled_rhs_batch(
+      std::vector<real_t>(static_cast<std::size_t>(n), 1.0), k);
+  b.set_column(1, std::vector<real_t>(static_cast<std::size_t>(n), 0.0));
+  return b;
+}
+
+KrylovOptions scratch_test_options() {
+  KrylovOptions opt;
+  opt.rtol = 1e-8;
+  opt.restart = 7;  // several GMRES cycles, so blocks are revisited
+  opt.max_iterations = 200;
+  return opt;
+}
+
+TEST(KrylovScratch, LeftoversNeverReachAResult) {
+  // A solve whose right-hand side holds a NaN stops at a breakdown and
+  // leaves NaNs in every block it took. The pinned solve that follows on
+  // the same team must be the same solve on a fresh Runtime, bit for bit.
+  // The batched cases carry a zero column next to the NaN column: it
+  // converges at entry, and batched PCG's SpMV and dots still read its p
+  // lanes.
+  const CsrMatrix a = laplacian(12);
+  const index_t n = a.rows();
+  const index_t k = 4;
+  const KrylovOptions opt = scratch_test_options();
+  const BatchBuffer pinned = rhs_with_zero_column(n, k);
+  BatchBuffer poison = pinned;
+  poison.view().at(n / 2, 0) = std::numeric_limits<real_t>::quiet_NaN();
+  for (const int procs : {1, 2, 3, 4}) {
+    for (const Driver d : kDrivers) {
+      SCOPED_TRACE(::testing::Message() << "procs=" << procs << " driver="
+                                        << static_cast<int>(d));
+      Runtime rt(procs, 0, "");
+      IluPreconditioner m(rt, a, 0);
+      m.factor(rt.team(), a);
+      const Solve nan = solve_on(rt.team(), d, a, &m, poison, opt);
+      EXPECT_TRUE(nan.res[0].breakdown);
+      EXPECT_FALSE(nan.res[0].converged);
+      if (batched(d)) {
+        EXPECT_TRUE(nan.res[1].converged);
+        EXPECT_EQ(nan.res[1].iterations, 0);
+      }
+      const Solve got = solve_on(rt.team(), d, a, &m, pinned, opt);
+      EXPECT_TRUE(got.res[0].converged);
+      expect_same_solve(got, fresh_solve(procs, d, a, pinned, opt));
+    }
+  }
+}
+
+TEST(KrylovScratch, BlocksComeBackAtAnotherSize) {
+  // Batched -> single -> batched on one team: the single solves get
+  // blocks sized for a batch, and the wider second batch (with a longer
+  // restart) outgrows the blocks the first one left. Each solve equals
+  // the same solve on a fresh Runtime.
+  const CsrMatrix a = laplacian(12);
+  const index_t n = a.rows();
+  KrylovOptions opt = scratch_test_options();
+  const BatchBuffer narrow = rhs_with_zero_column(n, 3);
+  const BatchBuffer wide = rhs_with_zero_column(n, 6);
+  for (const int procs : {1, 2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << "procs=" << procs);
+    Runtime rt(procs, 0, "");
+    IluPreconditioner m(rt, a, 0);
+    m.factor(rt.team(), a);
+    for (const Driver d : {Driver::kGmresBatched, Driver::kGmres,
+                           Driver::kPcg, Driver::kPcgBatched}) {
+      opt.restart = 7;
+      expect_same_solve(solve_on(rt.team(), d, a, &m, narrow, opt),
+                        fresh_solve(procs, d, a, narrow, opt));
+    }
+    opt.restart = 12;
+    for (const Driver d : {Driver::kGmresBatched, Driver::kPcgBatched}) {
+      expect_same_solve(solve_on(rt.team(), d, a, &m, wide, opt),
+                        fresh_solve(procs, d, a, wide, opt));
+    }
+  }
 }
 
 }  // namespace

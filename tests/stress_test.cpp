@@ -8,17 +8,22 @@
 // counters, each including its abort path — is exercised with real
 // contention (including processor counts far above the host's core count)
 // on every PR. The batched GMRES's column-parallel region rides along: its
-// cursor and its per-column state handoff are audited the same way.
+// cursor and its per-column state handoff are audited the same way, as are
+// the Krylov drivers' team-owned scratch blocks (reuse, nesting, unwind,
+// concurrent Runtimes).
 // Failures print the RNG seed; replay any instance with
 // RTL_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -26,6 +31,7 @@
 #include "graph/dependence_graph.hpp"
 #include "kernel/batch.hpp"
 #include "kernel/bound_kernel.hpp"
+#include "krylov_cases.hpp"
 #include "runtime/thread_team.hpp"
 #include "solver/ilu_preconditioner.hpp"
 #include "solver/krylov.hpp"
@@ -332,6 +338,222 @@ TEST(KrylovStressTest, BatchedGmresColumnsMatchSingleRhsAtEveryTeamSize) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Team-owned Krylov scratch (ThreadTeam::ScratchLease) under TSan: the
+// drivers reuse their team's blocks across solves, a preconditioner that
+// solves on its caller's team nests a second lease, a throw unwinds one,
+// and two Runtimes lease concurrently.
+// ---------------------------------------------------------------------
+
+using krylov_cases::Driver;
+using krylov_cases::expect_same_solve;
+using krylov_cases::kDrivers;
+using krylov_cases::Solve;
+using krylov_cases::solve_on;
+
+/// k seeded right-hand sides in [-1, 1).
+BatchBuffer random_rhs(index_t n, index_t k, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<real_t> dist(-1.0, 1.0);
+  BatchBuffer b(n, k);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < k; ++j) b.view().at(i, j) = dist(rng);
+  }
+  return b;
+}
+
+KrylovOptions scratch_options() {
+  KrylovOptions opt;
+  opt.rtol = 1e-6;
+  opt.restart = 4;
+  opt.max_iterations = 24;
+  return opt;
+}
+
+/// Delegates to ILU(0) and records the output pointer of every apply.
+class RecordingPreconditioner : public Preconditioner {
+ public:
+  explicit RecordingPreconditioner(Preconditioner& inner) : inner_(inner) {}
+  void apply(ThreadTeam& team, std::span<const real_t> r,
+             std::span<real_t> z) override {
+    outputs.push_back(z.data());
+    inner_.apply(team, r, z);
+  }
+  void apply_batch(ThreadTeam& team, ConstBatchView r, BatchView z) override {
+    outputs.push_back(z.data());
+    inner_.apply_batch(team, r, z);
+  }
+  std::vector<const real_t*> outputs;
+
+ private:
+  Preconditioner& inner_;
+};
+
+TEST(KrylovScratchStressTest, RepeatedSolvesReuseTheSameBlocks) {
+  // No per-solve allocation: two identical solves on one team hand the
+  // preconditioner the same output pointers in the same order (GMRES's
+  // v_0 / v_{j+1}, PCG's z, the batched drivers' n×k output).
+  const std::uint64_t seed = test_seed(41);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(9, 9);
+  const BatchBuffer b = random_rhs(sys.a.rows(), 3, seed);
+  for (const int p : {1, 3}) {
+    Runtime rt(p, 0, "");
+    IluPreconditioner ilu(rt, sys.a, 0);
+    ilu.factor(rt.team(), sys.a);
+    for (const Driver d : kDrivers) {
+      SCOPED_TRACE(::testing::Message() << "procs=" << p << " driver="
+                                        << static_cast<int>(d));
+      const KrylovOptions opt = scratch_options();
+      RecordingPreconditioner first(ilu), second(ilu);
+      const Solve a = solve_on(rt.team(), d, sys.a, &first, b, opt);
+      const Solve c = solve_on(rt.team(), d, sys.a, &second, b, opt);
+      EXPECT_GT(first.outputs.size(), 2u);
+      EXPECT_EQ(second.outputs, first.outputs);
+      expect_same_solve(c, a);
+    }
+  }
+}
+
+/// z <- a few unpreconditioned GMRES steps on A z = r from z = 0, run on
+/// `inner` when set, else on the caller's team: a solve nested inside the
+/// caller's solve.
+class SolvingPreconditioner : public Preconditioner {
+ public:
+  SolvingPreconditioner(const CsrMatrix& a, ThreadTeam* inner)
+      : a_(a), inner_(inner) {}
+  void apply(ThreadTeam& team, std::span<const real_t> r,
+             std::span<real_t> z) override {
+    KrylovOptions opt;
+    opt.rtol = 1e-12;
+    opt.restart = 3;
+    opt.max_iterations = 5;
+    std::fill(z.begin(), z.end(), 0.0);
+    (void)gmres_solve(inner_ != nullptr ? *inner_ : team, a_, r, z, nullptr,
+                      opt);
+  }
+
+ private:
+  const CsrMatrix& a_;
+  ThreadTeam* inner_;
+};
+
+TEST(KrylovScratchStressTest, NestedLeasesDoNotAlias) {
+  // The preconditioner's GMRES leases the caller's team while the outer
+  // solve's lease is live: it must find no blocks and take its own. The
+  // outer solve must equal the one whose preconditioner solves on a second
+  // team of the same size; a second round checks the list the team kept.
+  const std::uint64_t seed = test_seed(42);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(8, 8);
+  const BatchBuffer b = random_rhs(sys.a.rows(), 3, seed);
+  KrylovOptions opt = scratch_options();
+  opt.max_iterations = 10;
+  for (const int p : {1, 2, 4}) {
+    ThreadTeam team(p), other(p);
+    SolvingPreconditioner nested(sys.a, nullptr), apart(sys.a, &other);
+    for (const Driver d : kDrivers) {
+      SCOPED_TRACE(::testing::Message() << "procs=" << p << " driver="
+                                        << static_cast<int>(d));
+      const Solve want = solve_on(team, d, sys.a, &apart, b, opt);
+      for (int round = 0; round < 2; ++round) {
+        expect_same_solve(solve_on(team, d, sys.a, &nested, b, opt), want);
+      }
+    }
+  }
+}
+
+/// ILU(0) that throws from a team region on its third apply.
+class ThrowingPreconditioner : public Preconditioner {
+ public:
+  explicit ThrowingPreconditioner(Preconditioner& inner) : inner_(inner) {}
+  void apply(ThreadTeam& team, std::span<const real_t> r,
+             std::span<real_t> z) override {
+    maybe_throw(team);
+    inner_.apply(team, r, z);
+  }
+  void apply_batch(ThreadTeam& team, ConstBatchView r, BatchView z) override {
+    maybe_throw(team);
+    inner_.apply_batch(team, r, z);
+  }
+
+ private:
+  void maybe_throw(ThreadTeam& team) {
+    if (++calls_ != 3) return;
+    team.run([&](int tid) {
+      if (tid == team.size() - 1) throw std::runtime_error("third apply");
+    });
+  }
+  Preconditioner& inner_;
+  int calls_ = 0;
+};
+
+TEST(KrylovScratchStressTest, ThrowingPreconditionerLeavesTeamReusable) {
+  // The exception unwinds the driver's lease, which must hand its blocks
+  // back; the next solve on that team equals a fresh team's solve.
+  const std::uint64_t seed = test_seed(43);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(9, 9);
+  const BatchBuffer b = random_rhs(sys.a.rows(), 3, seed);
+  const KrylovOptions opt = scratch_options();
+  for (const int p : {1, 2, 4}) {
+    for (const Driver d : kDrivers) {
+      SCOPED_TRACE(::testing::Message() << "procs=" << p << " driver="
+                                        << static_cast<int>(d));
+      Runtime rt(p, 0, ""), fresh(p, 0, "");
+      IluPreconditioner ilu(rt, sys.a, 0), ilu_fresh(fresh, sys.a, 0);
+      ilu.factor(rt.team(), sys.a);
+      ilu_fresh.factor(fresh.team(), sys.a);
+      ThrowingPreconditioner throwing(ilu);
+      EXPECT_THROW((void)solve_on(rt.team(), d, sys.a, &throwing, b, opt),
+                   std::runtime_error);
+      expect_same_solve(solve_on(rt.team(), d, sys.a, &ilu, b, opt),
+                        solve_on(fresh.team(), d, sys.a, &ilu_fresh, b, opt));
+    }
+  }
+}
+
+TEST(KrylovScratchStressTest, ConcurrentRuntimesLeaseIndependently) {
+  // Two Runtimes run batched GMRES at once, three solves each; every
+  // solve equals that Runtime's sequential run. Each team's list is its
+  // own, so TSan must see no shared state.
+  const std::uint64_t seed = test_seed(44);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(10, 10);
+  const KrylovOptions opt = scratch_options();
+  struct Side {
+    std::unique_ptr<Runtime> rt;
+    std::unique_ptr<IluPreconditioner> ilu;
+    BatchBuffer b;
+    Solve want;
+    std::vector<Solve> got;
+  };
+  Side sides[2];
+  for (int s = 0; s < 2; ++s) {
+    Side& side = sides[s];
+    side.rt = std::make_unique<Runtime>(2, 0, "");
+    side.ilu = std::make_unique<IluPreconditioner>(*side.rt, sys.a, 0);
+    side.ilu->factor(side.rt->team(), sys.a);
+    side.b = random_rhs(sys.a.rows(), 4 + s, seed + s);
+    side.want = solve_on(side.rt->team(), Driver::kGmresBatched, sys.a,
+                         side.ilu.get(), side.b, opt);
+  }
+  std::vector<std::thread> threads;
+  for (Side& side : sides) {
+    threads.emplace_back([&side, &sys, &opt] {
+      for (int rep = 0; rep < 3; ++rep) {
+        side.got.push_back(solve_on(side.rt->team(), Driver::kGmresBatched,
+                                    sys.a, side.ilu.get(), side.b, opt));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const Side& side : sides) {
+    ASSERT_EQ(side.got.size(), 3u);
+    for (const Solve& got : side.got) expect_same_solve(got, side.want);
   }
 }
 
