@@ -151,7 +151,7 @@ int main() {
                    rhs, tmp, y_lambda);
     });
     const Stats kernel_ms = measure_ms(reps, [&] {
-      solver.solve(team, rhs, tmp, y_kernel);
+      solver.solve(team, rhs, y_kernel);
     });
     if (y_lambda != y_kernel) {
       std::fprintf(stderr, "%s: kernel path diverged from lambda path\n",
@@ -190,12 +190,12 @@ int main() {
       std::vector<real_t> colx(nz);
       const Stats singles_ms = measure_ms(reps, [&] {
         for (index_t j = 0; j < k; ++j) {
-          solver.solve(team, cols[static_cast<std::size_t>(j)], tmp, colx);
+          solver.solve(team, cols[static_cast<std::size_t>(j)], colx);
         }
       });
       bool identical = true;
       for (index_t j = 0; j < k && identical; ++j) {
-        solver.solve(team, cols[static_cast<std::size_t>(j)], tmp, colx);
+        solver.solve(team, cols[static_cast<std::size_t>(j)], colx);
         for (index_t i = 0; i < n; ++i) {
           if (bx.view().at(i, j) != colx[static_cast<std::size_t>(i)]) {
             identical = false;

@@ -84,12 +84,8 @@ Stats time_sequential_lower(const SolveCase& c, int reps) {
 Stats time_lower(ThreadTeam& team, const SolveCase& c, const Plan& plan,
                  int reps) {
   std::vector<real_t> y(static_cast<std::size_t>(c.graph.size()));
-  // One explicit ExecState reused across reps, so the measured loop pays
-  // neither the state-pool handshake nor a ready-array allocation.
-  ExecState state(plan);
   return measure_ms(reps, [&] {
-    run_lower(c, y,
-              [&](auto&& body) { plan.execute(team, body, state); });
+    run_lower(c, y, [&](auto&& body) { plan.execute(team, body); });
   });
 }
 

@@ -85,7 +85,6 @@ void BM_SelfExecutingLowerSolve(benchmark::State& state) {
   DoconsiderOptions opts;
   opts.execution = ExecutionPolicy::kSelfExecuting;
   const Plan plan(team, lower_solve_dependences(ilu.lower()), opts);
-  ExecState exec_state(plan);
   std::vector<real_t> y(static_cast<std::size_t>(plan.size()));
   const auto& lower = ilu.lower();
   for (auto _ : state) {
@@ -97,7 +96,7 @@ void BM_SelfExecutingLowerSolve(benchmark::State& state) {
         sum -= vs[k] * y[static_cast<std::size_t>(cs[k])];
       }
       y[static_cast<std::size_t>(i)] = sum;
-    }, exec_state);
+    });
   }
 }
 BENCHMARK(BM_SelfExecutingLowerSolve)->Arg(2)->Arg(4)->Arg(8)->Arg(16);

@@ -49,9 +49,9 @@ int main() {
     ParallelTriangularSolver self(rt, ilu, self_opts);
 
     const double pre_ms = min_time_ms(
-        5, [&] { pre.solve(team, prob.system.rhs, tmp, y_par); });
+        5, [&] { pre.solve(team, prob.system.rhs, y_par); });
     const double self_ms = min_time_ms(
-        5, [&] { self.solve(team, prob.system.rhs, tmp, y_par); });
+        5, [&] { self.solve(team, prob.system.rhs, y_par); });
 
     double err = 0.0;
     for (index_t i = 0; i < n; ++i) {

@@ -65,9 +65,6 @@ enum class ExecutionPolicy {
 struct DoconsiderOptions {
   SchedulingPolicy scheduling = SchedulingPolicy::kGlobal;
   ExecutionPolicy execution = ExecutionPolicy::kPointToPoint;
-  /// Run the inspector's wavefront sweep in parallel on the team (§2.3).
-  /// Does not change the produced artifact, only how fast it is built.
-  bool parallel_inspector = false;
   /// kPreScheduled / kSelfExecuting only: run the §5.1.2 rotating
   /// instrumented variant — every processor executes all schedules, so the
   /// run is perfectly load balanced, does P times the work, keeps all

@@ -3,11 +3,8 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/executors.hpp"
 #include "core/partition.hpp"
@@ -27,8 +24,8 @@
 /// wavefronts + schedule + a deterministic structure fingerprint) whose
 /// `execute()` is const and safe to call concurrently from *distinct*
 /// thread teams; all per-execution mutable state (the ready array of
-/// Figure 4, the point-to-point progress counters) lives in an `ExecState`
-/// that is created — or transparently pooled — at execute() time.
+/// Figure 4, the point-to-point progress counters) belongs to the
+/// executing `ThreadTeam`, which runs one region at a time.
 ///
 /// Because the inspector artifact is the executor's hot-path data
 /// structure, it is stored flat: the schedule and wavefront membership are
@@ -71,42 +68,6 @@ struct PlanStats {
   std::size_t bytes = 0;
 };
 
-/// Per-execution mutable state: the shared ready array and the
-/// point-to-point executor's per-processor progress counters. One
-/// ExecState serves one execution at a time; distinct concurrent
-/// executions of the same `Plan` need distinct states (pass none to
-/// `Plan::execute` and one is pooled automatically).
-class ExecState {
- public:
-  /// State sized for `plan` (ready flags and progress counters only when
-  /// its policy uses them).
-  /// This is the only constructor: a state not sized for a plan would be
-  /// out-of-bounds the moment a ready-using policy executes with it.
-  explicit ExecState(const Plan& plan);
-
-  ExecState(const ExecState&) = delete;
-  ExecState& operator=(const ExecState&) = delete;
-
-  [[nodiscard]] ReadyFlags& ready() noexcept { return ready_; }
-
-  /// One point-to-point progress counter: the number of phases its
-  /// processor has published as done in the current run. Padded so a
-  /// processor's release stores never share a line with a peer's.
-  struct alignas(cache_line_size) Progress {
-    std::atomic<index_t> phases{0};
-  };
-  /// The point-to-point executor's per-processor counters, zeroed for the
-  /// next run: O(nproc) stores, never O(n). Must not race with a run.
-  [[nodiscard]] Progress* reset_progress() noexcept {
-    for (auto& c : progress_) c.phases.store(0, std::memory_order_relaxed);
-    return progress_.data();
-  }
-
- private:
-  ReadyFlags ready_;
-  std::vector<Progress> progress_;
-};
-
 /// Immutable, shareable inspector artifact: dependence graph + wavefronts
 /// + per-processor schedule + structure fingerprint, compiled for a fixed
 /// processor count. `execute()` is const; a Plan may be shared (e.g. via
@@ -121,12 +82,13 @@ class Plan {
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
 
-  /// Execute the loop body under the planned order using `state` for the
-  /// per-execution synchronization data. `body(i)` (or `body(tid, i)`)
-  /// must perform the work of iteration i and may read any value produced
-  /// by an iteration in `graph().deps(i)`. Const and safe to call
-  /// concurrently from distinct teams with distinct states; `team` must
-  /// have the processor count the plan was compiled for.
+  /// Execute the loop body under the planned order, with `team`'s ready
+  /// array or progress counters as the per-execution synchronization
+  /// data. `body(i)` (or `body(tid, i)`) must perform the work of
+  /// iteration i and may read any value produced by an iteration in
+  /// `graph().deps(i)`. Const and safe to call concurrently from distinct
+  /// teams; `team` must have the processor count the plan was compiled
+  /// for.
   ///
   /// A batched body — one that sweeps all k right-hand sides of iteration
   /// i before returning (kernel/bound_kernel.hpp) — runs through this same
@@ -135,10 +97,9 @@ class Plan {
   /// iteration), because a published iteration has finished every lane.
   ///
   /// If the body throws, every executor leaves the region and the first
-  /// exception reaches the caller; `team`, the plan and `state` stay
-  /// usable.
+  /// exception reaches the caller; `team` and the plan stay usable.
   template <class Body>
-  void execute(ThreadTeam& team, Body&& body, ExecState& state) const {
+  void execute(ThreadTeam& team, Body&& body) const {
     assert(team.size() == nproc_ &&
            "plan compiled for a different team size");
     switch (options_.execution) {
@@ -151,28 +112,18 @@ class Plan {
         break;
       case ExecutionPolicy::kSelfExecuting:
         if (options_.instrumented) {
-          run_rotating_self(team, state.ready(), body);
+          run_rotating_self(team, body);
         } else {
-          run_self(team, state.ready(), body);
+          run_self(team, body);
         }
         break;
       case ExecutionPolicy::kDoAcross:
-        run_doacross(team, state.ready(), body);
+        run_doacross(team, body);
         break;
       case ExecutionPolicy::kPointToPoint:
-        run_point_to_point(team, state, body);
+        run_point_to_point(team, body);
         break;
     }
-  }
-
-  /// Execute with a pooled ExecState: acquires a state from the plan's
-  /// internal pool (allocating on first use), so concurrent callers never
-  /// share synchronization data. The pool is the only mutable member and
-  /// is mutex-guarded; the plan stays logically immutable.
-  template <class Body>
-  void execute(ThreadTeam& team, Body&& body) const {
-    const StateLease lease(*this);
-    execute(team, std::forward<Body>(body), lease.state());
   }
 
   [[nodiscard]] const DependenceGraph& graph() const noexcept {
@@ -199,17 +150,10 @@ class Plan {
   /// other policy). Derived from the schedule at inspection and again on
   /// load, never serialized.
   [[nodiscard]] const SlabWaits& waits() const noexcept { return waits_; }
-  /// Whether executions under this plan's policy use the ready array.
-  /// (kPointToPoint tracks progress in per-processor counters instead.)
-  [[nodiscard]] bool needs_ready_flags() const noexcept {
-    return options_.execution == ExecutionPolicy::kSelfExecuting ||
-           options_.execution == ExecutionPolicy::kDoAcross;
-  }
 
   /// Bytes of the immutable artifact the executor walks: the dependence
   /// CSR, the wavefront levels + membership CSR, the flat schedule and the
-  /// point-to-point wait lists. (Excludes per-execution ExecState pools —
-  /// those are transient.)
+  /// point-to-point wait lists. (Per-execution state belongs to the team.)
   [[nodiscard]] std::size_t memory_footprint() const noexcept {
     constexpr std::size_t idx = sizeof(index_t);
     const std::size_t entries =
@@ -238,7 +182,6 @@ class Plan {
   }
 
  private:
-  friend class ExecState;
   // Runtime::plan_for already hashed the graph for its cache key and
   // passes the value through the trusted constructor below.
   friend class Runtime;
@@ -254,9 +197,7 @@ class Plan {
         options_(normalized_options(options)),
         nproc_(team.size()),
         fingerprint_(fingerprint ? *fingerprint : graph_.fingerprint()) {
-    wavefronts_ = options_.parallel_inspector
-                      ? compute_wavefronts_parallel(graph_, team)
-                      : compute_wavefronts(graph_);
+    wavefronts_ = compute_wavefronts(graph_);
     switch (options_.scheduling) {
       case SchedulingPolicy::kGlobal:
         // The paper's executors keep the wrapped deal of Figures 9-10 (the
@@ -343,16 +284,16 @@ class Plan {
   }
 
   /// Self-executing executor: busy-wait on the ready flags of each
-  /// dependence, run the body, publish completion (Figure 4). `ready` is
-  /// reset on entry.
+  /// dependence, run the body, publish completion (Figure 4). The team's
+  /// ready array is cleared over [0, n) on entry.
   template <class Body>
-  void run_self(ThreadTeam& team, ReadyFlags& ready, Body& body) const {
-    ready.reset();
+  void run_self(ThreadTeam& team, Body& body) const {
+    ReadyFlags& ready = team.reset_ready(graph_.size());
     team.run([&](int tid) {
       std::uint64_t pubs = 0;
       for (const index_t i : schedule_.proc(tid)) {
         for (const index_t d : graph_.deps(i)) {
-          if (!ready.wait(d, team)) return;  // a peer threw
+          if (!ready.wait(d)) return;  // a peer threw
         }
         detail::invoke_body(body, tid, i);
         ready.set(i);
@@ -368,15 +309,15 @@ class Plan {
   /// reordered index list (the paper notes the doacross loop "does not
   /// have to perform array references to access the reordered index set").
   template <class Body>
-  void run_doacross(ThreadTeam& team, ReadyFlags& ready, Body& body) const {
-    ready.reset();
+  void run_doacross(ThreadTeam& team, Body& body) const {
     const index_t n = graph_.size();
+    ReadyFlags& ready = team.reset_ready(n);
     const int p = team.size();
     team.run([&](int tid) {
       std::uint64_t pubs = 0;
       for (index_t i = tid; i < n; i += p) {
         for (const index_t d : graph_.deps(i)) {
-          if (!ready.wait(d, team)) return;  // a peer threw
+          if (!ready.wait(d)) return;  // a peer threw
         }
         detail::invoke_body(body, tid, i);
         ready.set(i);
@@ -390,12 +331,12 @@ class Plan {
   /// processor executes the schedules of *all* processors in rotation, so
   /// the run is perfectly load balanced and does P times the work. All
   /// ready-flag reads and writes still occur, but flags are pre-set so no
-  /// waiting happens. Time it externally and divide by P.
+  /// waiting happens. Time it externally and divide by P. Every row runs P
+  /// times without waiting, so the outputs are not defined: timing only.
   template <class Body>
-  void run_rotating_self(ThreadTeam& team, ReadyFlags& ready,
-                         Body& body) const {
+  void run_rotating_self(ThreadTeam& team, Body& body) const {
     // Pre-publish every flag: the wait loops fall through on first read.
-    ready.reset();
+    ReadyFlags& ready = team.reset_ready(schedule_.n);
     for (index_t i = 0; i < schedule_.n; ++i) ready.set(i);
     const int p = team.size();
     team.run([&](int tid) {
@@ -403,7 +344,7 @@ class Plan {
         const int owner = (tid + shift) % p;
         for (const index_t i : schedule_.proc(owner)) {
           for (const index_t d : graph_.deps(i)) {
-            if (!ready.wait(d, team)) return;  // never: flags pre-set
+            if (!ready.wait(d)) return;  // never: flags pre-set
           }
           detail::invoke_body(body, tid, i);
           ready.set(i);
@@ -413,8 +354,9 @@ class Plan {
   }
 
   /// Rotating-processor run of the pre-scheduled code (§5.1.2): like
-  /// `run_rotating_self` but with neither barriers nor ready-array
-  /// traffic (the pre-scheduled loop keeps no completion array).
+  /// `run_rotating_self` (timing only) but with neither barriers nor
+  /// ready-array traffic (the pre-scheduled loop keeps no completion
+  /// array).
   template <class Body>
   void run_rotating_prescheduled(ThreadTeam& team, Body& body) const {
     const int p = team.size();
@@ -444,9 +386,8 @@ class Plan {
   /// by induction over phases every slab eventually runs (unless a body
   /// throws; see the abort note above).
   template <class Body>
-  void run_point_to_point(ThreadTeam& team, ExecState& state,
-                          Body& body) const {
-    ExecState::Progress* const progress = state.reset_progress();
+  void run_point_to_point(ThreadTeam& team, Body& body) const {
+    ThreadTeam::Progress* const progress = team.reset_progress();
     team.run([&](int tid) {
       const index_t* ord = schedule_.order.data();
       const index_t* row = schedule_.phase_row(tid).data();
@@ -492,32 +433,6 @@ class Plan {
     return true;
   }
 
-  /// RAII lease of a pooled ExecState.
-  class StateLease {
-   public:
-    explicit StateLease(const Plan& plan) : plan_(plan) {
-      {
-        const std::lock_guard<std::mutex> lock(plan.pool_mutex_);
-        if (!plan.pool_.empty()) {
-          state_ = std::move(plan.pool_.back());
-          plan.pool_.pop_back();
-        }
-      }
-      if (!state_) state_ = std::make_unique<ExecState>(plan);
-    }
-    ~StateLease() {
-      const std::lock_guard<std::mutex> lock(plan_.pool_mutex_);
-      plan_.pool_.push_back(std::move(state_));
-    }
-    StateLease(const StateLease&) = delete;
-    StateLease& operator=(const StateLease&) = delete;
-    [[nodiscard]] ExecState& state() const noexcept { return *state_; }
-
-   private:
-    const Plan& plan_;
-    std::unique_ptr<ExecState> state_;
-  };
-
   DependenceGraph graph_;
   DoconsiderOptions options_;
   int nproc_;
@@ -526,17 +441,7 @@ class Plan {
   Schedule schedule_;
   // Per-slab cross-processor waits; built only for kPointToPoint.
   SlabWaits waits_;
-
-  mutable std::mutex pool_mutex_;
-  mutable std::vector<std::unique_ptr<ExecState>> pool_;
 };
-
-inline ExecState::ExecState(const Plan& plan)
-    : ready_(plan.needs_ready_flags() ? ReadyFlags(plan.size())
-                                      : ReadyFlags()),
-      progress_(plan.options().execution == ExecutionPolicy::kPointToPoint
-                    ? static_cast<std::size_t>(plan.nproc())
-                    : 0) {}
 
 /// One-shot convenience: inspector + a single execution. Prefer building a
 /// `Plan` (or asking a `rtl::Runtime` for one) when the loop runs more

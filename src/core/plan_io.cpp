@@ -194,7 +194,7 @@ Header read_and_validate_header(Source& src) {
   const std::uint64_t retired_window = src.u64();
   const std::uint64_t retired_panel = src.u64();
   const std::uint8_t instrumented = src.u8();
-  const std::uint8_t parallel_inspector = src.u8();
+  const std::uint8_t retired_inspector = src.u8();
 
   constexpr std::uint64_t kMaxIndex = 0x7fffffffull;  // fits index_t
   if (h.nproc < 1 || h.nproc > kMaxNproc) {
@@ -222,16 +222,15 @@ Header read_and_validate_header(Source& src) {
           static_cast<std::uint32_t>(ExecutionPolicy::kPointToPoint)) {
     fail(PlanIoErrc::kBadHeader, "unknown execution policy");
   }
-  if (retired_window != 0 || retired_panel != 0) {
-    fail(PlanIoErrc::kBadHeader, "retired window/panel field not 0");
+  if (retired_window != 0 || retired_panel != 0 || retired_inspector != 0) {
+    fail(PlanIoErrc::kBadHeader, "retired window/panel/inspector field not 0");
   }
-  if (instrumented > 1 || parallel_inspector > 1) {
+  if (instrumented > 1) {
     fail(PlanIoErrc::kBadHeader, "boolean field not 0/1");
   }
   h.options.scheduling = static_cast<SchedulingPolicy>(scheduling);
   h.options.execution = static_cast<ExecutionPolicy>(execution);
   h.options.instrumented = instrumented != 0;
-  h.options.parallel_inspector = parallel_inspector != 0;
   // Plans always carry normalized options (the Plan constructor normalizes
   // on entry); an image that stores anything else was not produced by
   // save_plan or was tampered with.
@@ -330,7 +329,7 @@ void save_plan(const Plan& plan, std::ostream& out) {
   sink.u64(0);  // retired window field
   sink.u64(0);  // retired panel field
   sink.u8(o.instrumented ? 1 : 0);
-  sink.u8(o.parallel_inspector ? 1 : 0);
+  sink.u8(0);  // retired parallel-inspector field
 
   sink.indices(g.ptr());
   sink.indices(g.adj());

@@ -39,7 +39,7 @@
 ///   64      u64   0 (retired window field; non-zero is refused)
 ///   72      u64   0 (retired panel field; non-zero is refused)
 ///   80      u8    DoconsiderOptions::instrumented
-///   81      u8    DoconsiderOptions::parallel_inspector
+///   81      u8    0 (retired parallel-inspector field; non-zero is refused)
 ///   -- arrays, back to back (i32 each) --
 ///   graph ptr        n + 1
 ///   graph adj        edges
@@ -79,7 +79,7 @@ inline constexpr std::uint32_t kPlanFormatVersion = 2;
 inline constexpr unsigned char kPlanMagic[8] = {'R', 'T', 'L', 'P',
                                                 'L', 'A', 'N', '\0'};
 
-/// Byte size of the fixed-width header (magic through parallel_inspector).
+/// Byte size of the fixed-width header (magic through byte 81).
 inline constexpr std::size_t kPlanHeaderBytes = 82;
 
 /// Failure class of a plan (de)serialization.

@@ -65,7 +65,6 @@ void Runtime::insert_locked(const PlanKey& key,
 std::shared_ptr<const Plan> Runtime::disk_lookup_locked(const PlanKey& key) {
   namespace fs = std::filesystem;
   const DoconsiderOptions normalized{key.scheduling, key.execution,
-                                     /*parallel_inspector=*/false,
                                      key.instrumented};
   const fs::path path =
       fs::path(dir_) / plan_cache_file_name(key.fingerprint, key.n,
@@ -121,8 +120,6 @@ std::shared_ptr<const Plan> Runtime::plan_for(DependenceGraph graph,
   const PlanKey key{fingerprint,          graph.size(),
                     graph.num_edges(),    normalized.scheduling,
                     normalized.execution, normalized.instrumented};
-  // `parallel_inspector` is deliberately absent from the key: it changes
-  // how fast the artifact is built, never what is built.
   const std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = cache_.find(key); it != cache_.end()) {
     ++hits_;

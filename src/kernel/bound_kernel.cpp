@@ -72,9 +72,11 @@ struct UpperSolveBody {
 // k-wide solve is bit-for-bit k single solves. x(i,:) holds partial sums
 // only while row i runs, and every executor publishes row i (ready flag,
 // slab progress store or barrier) only after its body returns, so no
-// other thread reads a partial sum. `omp simd` (when compiled in,
-// kernel/simd.hpp) asserts only lane independence — the strips of row i
-// and of col[t] != i never overlap — and never reassociates within a lane.
+// other thread reads a partial sum. In place (rhs is x) the first loop
+// copies the strip onto itself, so rhs(i,:) is read before anything is
+// written to it. `omp simd` (when compiled in, kernel/simd.hpp) asserts
+// only lane independence — the strips of row i and of col[t] != i never
+// overlap — and never reassociates within a lane.
 
 /// Batched forward substitution: the k-sweep is the unit-stride inner
 /// loop over the row's contiguous strip; the matrix row is read once for
@@ -225,8 +227,6 @@ void BoundKernel::solve(ThreadTeam& team, std::span<const real_t> rhs,
                         std::span<real_t> x) {
   assert(static_cast<index_t>(rhs.size()) == n_);
   assert(static_cast<index_t>(x.size()) == n_);
-  // Per-execution state is leased from the plan's pool, so concurrent
-  // solves from distinct teams never share synchronization data.
   if (kind_ == KernelKind::kLowerSolve) {
     plan_->execute(team, LowerSolveBody{row_ptr_, col_, val_, rhs.data(),
                                         x.data()});
@@ -266,26 +266,17 @@ IluApplyKernel::IluApplyKernel(BoundKernel lower_solve,
         std::to_string(lower_.size()) + " != upper kernel dimension " +
         std::to_string(upper_.size()));
   }
-  tmp_.resize(lower_.size(), 1);
 }
 
 void IluApplyKernel::apply(ThreadTeam& team, std::span<const real_t> r,
                            std::span<real_t> z) {
-  // The buffer always holds at least size() contiguous scratch elements.
-  std::span<real_t> tmp{tmp_.view().data(),
-                        static_cast<std::size_t>(size())};
-  lower_.solve(team, r, tmp);
-  upper_.solve(team, tmp, z);
+  lower_.solve(team, r, z);
+  upper_.solve(team, z, z);
 }
 
 void IluApplyKernel::apply(ThreadTeam& team, ConstBatchView r, BatchView z) {
-  assert(r.width() == z.width());
-  if (tmp_.rows() != size() || tmp_.width() < r.width()) {
-    tmp_.resize(size(), r.width());
-  }
-  BatchView tmp{tmp_.view().data(), size(), r.width()};
-  lower_.solve(team, r, tmp);
-  upper_.solve(team, tmp, z);
+  lower_.solve(team, r, z);
+  upper_.solve(team, z, z);
 }
 
 }  // namespace rtl

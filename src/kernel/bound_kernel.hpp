@@ -50,10 +50,10 @@ enum class KernelKind {
 /// must not move, and the plan must have been built from the matching
 /// `lower_solve_dependences` / `upper_solve_dependences` graph.
 ///
-/// Per-execution synchronization state comes from the plan's ExecState
-/// pool, so — like `Plan::execute` itself — concurrent solves through
-/// one kernel are safe from *distinct* thread teams on non-overlapping
-/// output vectors.
+/// A kernel holds no per-run state: the synchronization data belongs to
+/// the executing team, so — like `Plan::execute` itself — concurrent
+/// solves through one kernel are safe from *distinct* thread teams on
+/// non-overlapping output vectors.
 class BoundKernel {
  public:
   /// Bind a forward-substitution kernel: `strict_lower` holds the strict
@@ -67,15 +67,20 @@ class BoundKernel {
   [[nodiscard]] static BoundKernel upper(std::shared_ptr<const Plan> plan,
                                          const CsrMatrix& upper);
 
-  /// x <- T^{-1} rhs, single right-hand side. `rhs` and `x` must not
-  /// alias and must have the bound dimension.
+  /// x <- T^{-1} rhs, single right-hand side, of the bound dimension.
+  /// `rhs` and `x` may be the same vector (the solve then runs in place,
+  /// with the same bits) but must not otherwise overlap: row i reads its
+  /// own rhs entry once, before it writes x(i), and otherwise reads only
+  /// the final x values of its dependences, which the executor orders
+  /// before it. (The §5.1.2 rotating executors run every row P times, so
+  /// their outputs are not defined in either case.)
   void solve(ThreadTeam& team, std::span<const real_t> rhs,
              std::span<real_t> x);
 
   /// Batched solve: x(:, j) <- T^{-1} rhs(:, j) for every column j, all
   /// columns swept inside each wavefront phase. Views must be
-  /// `size()` x k with matching widths; bit-for-bit equal to k
-  /// single-RHS solves.
+  /// `size()` x k with matching widths, and may be the same batch as
+  /// above; bit-for-bit equal to k single-RHS solves.
   void solve(ThreadTeam& team, ConstBatchView rhs, BatchView x);
 
   /// Bytes touched by one batched solve at width k — the roofline
@@ -117,12 +122,11 @@ class BoundKernel {
 };
 
 /// The fused ILU(k) application z <- U^{-1} L^{-1} r as one bound object:
-/// a lower and an upper `BoundKernel` plus the intermediate batch buffer,
-/// with single-RHS and batched entry points. This is what
-/// `IluPreconditioner::apply` runs. Unlike the kernels it composes, an
-/// IluApplyKernel owns scratch (the intermediate vector), so it supports
-/// one in-flight apply at a time; use the kernels directly with
-/// caller-supplied intermediates for concurrent applies.
+/// a lower and an upper `BoundKernel`, with single-RHS and batched entry
+/// points. This is what `IluPreconditioner::apply` runs. The forward solve
+/// writes L^{-1} r into z and the backward solve runs in place on it, so
+/// the kernel holds no intermediate, and applies from distinct teams may
+/// run at once (on distinct outputs), as for the kernels it composes.
 class IluApplyKernel {
  public:
   /// Compose from two bound kernels (must be a kLowerSolve and a
@@ -130,7 +134,8 @@ class IluApplyKernel {
   /// otherwise).
   IluApplyKernel(BoundKernel lower_solve, BoundKernel upper_solve);
 
-  /// z <- U^{-1} L^{-1} r, single right-hand side.
+  /// z <- U^{-1} L^{-1} r, single right-hand side. `r` and `z` must not
+  /// overlap.
   void apply(ThreadTeam& team, std::span<const real_t> r,
              std::span<real_t> z);
 
@@ -150,7 +155,6 @@ class IluApplyKernel {
  private:
   BoundKernel lower_;
   BoundKernel upper_;
-  BatchBuffer tmp_;  // intermediate L^{-1} r, grown to the widest batch seen
 };
 
 }  // namespace rtl

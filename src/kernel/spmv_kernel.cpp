@@ -1,18 +1,12 @@
 #include "kernel/spmv_kernel.hpp"
 
 #include <cassert>
-#include <stdexcept>
-#include <string>
 
 #include "kernel/simd.hpp"
 
 namespace rtl {
 
 namespace {
-
-[[noreturn]] void bind_fail(const std::string& what) {
-  throw std::invalid_argument("SpMVKernel::bind: " + what);
-}
 
 // Batched row product, mirroring the bound-solve bodies: each lane
 // accumulates directly in the row's output strip, y(i,:) = 0.0 and then
@@ -41,33 +35,7 @@ void spmv_rows(const index_t* row_ptr, const index_t* col, const real_t* val,
 
 }  // namespace
 
-SpMVKernel SpMVKernel::bind(const CsrMatrix& a) {
-  const auto rp = a.row_ptr();
-  if (static_cast<index_t>(rp.size()) != a.rows() + 1) {
-    bind_fail("row_ptr has " + std::to_string(rp.size()) +
-              " entries for " + std::to_string(a.rows()) + " rows");
-  }
-  if (rp[0] != 0) bind_fail("row_ptr does not start at 0");
-  for (index_t i = 0; i < a.rows(); ++i) {
-    if (rp[static_cast<std::size_t>(i) + 1] < rp[static_cast<std::size_t>(i)]) {
-      bind_fail("row_ptr decreases at row " + std::to_string(i));
-    }
-  }
-  if (rp[static_cast<std::size_t>(a.rows())] != a.nnz()) {
-    bind_fail("row_ptr covers " +
-              std::to_string(rp[static_cast<std::size_t>(a.rows())]) +
-              " entries but the matrix stores " + std::to_string(a.nnz()));
-  }
-  for (const index_t j : a.col_idx()) {
-    if (j < 0 || j >= a.cols()) {
-      bind_fail("column index " + std::to_string(j) +
-                " out of range for " + std::to_string(a.cols()) + " columns");
-    }
-  }
-  return SpMVKernel(a);
-}
-
-SpMVKernel::SpMVKernel(const CsrMatrix& a)
+SpMVKernel::SpMVKernel(const CsrMatrix& a) noexcept
     : row_ptr_(a.row_ptr().data()),
       col_(a.col_idx().data()),
       val_(a.values().data()),

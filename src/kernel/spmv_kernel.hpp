@@ -12,10 +12,9 @@
 /// triangular solves, whose row order is the inspector's business). SpMV
 /// has no cross-row dependences, so an `SpMVKernel` is plan-free: rows
 /// are block-partitioned over the team like the vector ops of
-/// sparse/parallel_ops (Appendix II §2.1's static decomposition). What
-/// binding buys is the same as for the solves — structure validation and
-/// pointer resolution happen once at setup instead of on every Krylov
-/// iteration, batched n×k products run through the same row-major
+/// sparse/parallel_ops (Appendix II §2.1's static decomposition). Binding
+/// resolves the CSR pointers once at setup instead of on every Krylov
+/// iteration, and batched n×k products run through the same row-major
 /// `BatchView`s with one row-read for all k lanes. With this family the
 /// *full* PCG/GMRES iteration runs through bound kernels (`SpMVKernel`
 /// for A, `IluApplyKernel` for M^{-1}).
@@ -23,15 +22,17 @@ namespace rtl {
 
 /// y <- A x bound to one CSR matrix.
 ///
-/// Binding validates the structure (monotone row pointers covering
-/// exactly nnz entries, every column index in range) and throws
-/// `std::invalid_argument` on a malformed matrix — like `BoundKernel`,
-/// structural errors surface at setup, never as UB in the row loop. The
+/// Binding is pointer resolution only: a well-formed structure (monotone
+/// row pointers covering exactly nnz entries, every column index in
+/// range) is `CsrMatrix`'s invariant, which its constructor checks and
+/// nothing after it can break, so there is nothing left to validate. The
 /// matrix's values may be rewritten in place between applies; its
 /// structure and storage must not move while the kernel is bound.
 class SpMVKernel {
  public:
-  [[nodiscard]] static SpMVKernel bind(const CsrMatrix& a);
+  [[nodiscard]] static SpMVKernel bind(const CsrMatrix& a) noexcept {
+    return SpMVKernel(a);
+  }
 
   /// y <- A x, single vector. Each row accumulates its stored entries in
   /// order, as the sequential `CsrMatrix::spmv` does, so the two agree
@@ -61,7 +62,7 @@ class SpMVKernel {
   }
 
  private:
-  SpMVKernel(const CsrMatrix& a);
+  explicit SpMVKernel(const CsrMatrix& a) noexcept;
 
   // Pre-resolved CSR spans; stable for the lifetime of the binding.
   const index_t* row_ptr_ = nullptr;

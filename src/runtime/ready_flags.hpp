@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "runtime/spin_wait.hpp"
-#include "runtime/thread_team.hpp"
 #include "runtime/types.hpp"
 
 /// The shared `ready` array of the self-executing executor.
@@ -20,11 +20,13 @@ namespace rtl {
 /// One completion flag per loop index, with publish/consume semantics.
 class ReadyFlags {
  public:
-  ReadyFlags() = default;
-
-  /// Create `n` flags, all clear.
-  explicit ReadyFlags(index_t n) : flags_(static_cast<std::size_t>(n)) {
-    for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
+  /// `n` flags, all clear. With an `abort` flag (a `ThreadTeam`'s
+  /// region-abort flag, as for `SpinBarrier`), a waiter gives up once the
+  /// flag is raised: a producer that threw will never publish.
+  explicit ReadyFlags(index_t n = 0,
+                      const std::atomic<bool>* abort = nullptr)
+      : abort_(abort) {
+    reset(n);
   }
 
   /// Number of flags.
@@ -32,9 +34,17 @@ class ReadyFlags {
     return static_cast<index_t>(flags_.size());
   }
 
-  /// Clear all flags. Must not race with concurrent set/wait.
-  void reset() noexcept {
-    for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
+  /// Clear flags [0, n), first growing the array to `n` flags if it holds
+  /// fewer; flags from n on are left as they are. Must not race with
+  /// concurrent set/wait.
+  void reset(index_t n) {
+    if (n > size()) {
+      flags_ = std::vector<std::atomic<std::uint32_t>>(
+          static_cast<std::size_t>(n));
+    }
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      flags_[i].store(0, std::memory_order_relaxed);
+    }
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
@@ -53,22 +63,25 @@ class ReadyFlags {
   }
 
   /// Busy-wait until index `i` has been published (Figure 4, line 3a).
-  /// False when a member of `team`'s current region threw: the producer
-  /// may never publish. The abort flag is read only once a first load
-  /// found the flag clear, so a satisfied wait costs one load.
-  [[nodiscard]] bool wait(index_t i, const ThreadTeam& team) const noexcept {
+  /// False when the abort flag is raised: the producer may never publish.
+  /// The abort flag is read only once a first load found the flag clear,
+  /// so a satisfied wait costs one load.
+  [[nodiscard]] bool wait(index_t i) const noexcept {
     assert(i >= 0 && i < size());
     const auto& flag = flags_[static_cast<std::size_t>(i)];
     if (flag.load(std::memory_order_acquire) != 0) return true;
     SpinWait backoff;
     do {
-      if (team.region_aborted()) return false;
+      if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
+        return false;
+      }
       backoff.wait_once();
     } while (flag.load(std::memory_order_acquire) == 0);
     return true;
   }
 
  private:
+  const std::atomic<bool>* abort_;
   std::vector<std::atomic<std::uint32_t>> flags_;
 };
 

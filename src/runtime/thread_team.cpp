@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 #include "runtime/spin_wait.hpp"
 
@@ -24,7 +23,11 @@ bool ThreadTeam::oversubscription_warned() noexcept {
 }
 
 ThreadTeam::ThreadTeam(int num_threads)
-    : num_threads_(num_threads), barrier_(num_threads, &abort_) {
+    : num_threads_(num_threads),
+      barrier_(num_threads, &abort_),
+      progress_(std::make_unique<Progress[]>(
+          static_cast<std::size_t>(num_threads))),
+      ready_(0, &abort_) {
   assert(num_threads >= 1);
   // Oversubscription works (workers spin briefly, then block), but the
   // busy-wait synchronization paths serialize through the OS scheduler and
@@ -141,17 +144,17 @@ void ThreadTeam::worker_loop(int tid) {
   }
 }
 
-ThreadTeam::ScratchLease::ScratchLease(ThreadTeam& team) noexcept
-    : team_(team), blocks_(std::exchange(team.scratch_, {})) {}
-
 ThreadTeam::ScratchLease::~ScratchLease() {
-  // A nested lease that ended first has already put its list back.
-  if (team_.scratch_.empty()) team_.scratch_ = std::move(blocks_);
+  assert(team_.scratch_top_ == top_ && "scratch leases end in reverse order");
+  team_.scratch_top_ = base_;
 }
 
 std::span<real_t> ThreadTeam::ScratchLease::take(std::size_t len) {
-  if (next_ == blocks_.size()) blocks_.emplace_back();
-  ScratchBlock& block = blocks_[next_++];
+  assert(team_.scratch_top_ == top_ && "only the newest lease may take");
+  std::vector<ScratchBlock>& stack = team_.scratch_;
+  if (top_ == stack.size()) stack.emplace_back();
+  ScratchBlock& block = stack[top_++];
+  team_.scratch_top_ = top_;
   if (block.capacity < len) {
     block = {};  // free first: the old and the new block are never both held
     block.data = std::make_unique_for_overwrite<real_t[]>(len);

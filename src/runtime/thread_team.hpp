@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "runtime/barrier.hpp"
+#include "runtime/ready_flags.hpp"
 #include "runtime/types.hpp"
 
 /// Persistent SPMD thread team — the "multiprocessor" substrate.
@@ -48,6 +49,11 @@ struct ExecCounters {
 /// `run(f)` invokes `f(tid)` on every team member (the calling thread
 /// participates as tid 0) and returns when all members have finished.
 /// A team-wide `SpinBarrier` is available to region bodies via `barrier()`.
+///
+/// The team is the only owner of per-run mutable state: the executors'
+/// ready array and progress counters, and the scratch blocks solvers
+/// lease. It runs one region at a time, so one copy of each serves every
+/// plan and kernel executed on it, and plans and kernels stay immutable.
 class ThreadTeam {
  public:
   /// Spawn a team of `num_threads` members (>= 1). The constructor spawns
@@ -69,6 +75,13 @@ class ThreadTeam {
 
   /// RAII loan of the team's reusable scratch blocks (defined below).
   class ScratchLease;
+
+  /// One progress counter of the point-to-point executor: the number of
+  /// phases its member has published as done in the current run. Padded
+  /// so a member's release stores never share a line with a peer's.
+  struct alignas(cache_line_size) Progress {
+    std::atomic<index_t> phases{0};
+  };
 
   /// Number of team members (including the caller).
   [[nodiscard]] int size() const noexcept { return num_threads_; }
@@ -122,6 +135,24 @@ class ThreadTeam {
     barrier_waits_.store(0, std::memory_order_relaxed);
   }
 
+  /// The point-to-point executor's `size()` progress counters, zeroed for
+  /// the next run: O(size()) stores, never O(n). Call between regions.
+  [[nodiscard]] Progress* reset_progress() noexcept {
+    for (int t = 0; t < num_threads_; ++t) {
+      progress_[static_cast<std::size_t>(t)].phases.store(
+          0, std::memory_order_relaxed);
+    }
+    return progress_.get();
+  }
+
+  /// The flag-based executors' ready array with flags [0, n) clear. The
+  /// array grows to the largest n any run needed and only [0, n) is
+  /// cleared; its waits watch the region-abort flag. Call between regions.
+  [[nodiscard]] ReadyFlags& reset_ready(index_t n) {
+    ready_.reset(n);
+    return ready_;
+  }
+
  private:
   void worker_loop(int tid);
   // Record the exception in flight as the region's first (if it is) and
@@ -152,35 +183,41 @@ class ThreadTeam {
   std::exception_ptr error_;
   alignas(cache_line_size) std::atomic<bool> abort_{false};
 
-  // Scratch blocks lent out by ScratchLease; declared last so that no hot
-  // member above moves.
+  // Executor state, reset by each run that uses it.
+  std::unique_ptr<Progress[]> progress_;
+  ReadyFlags ready_;  // watches abort_
+
+  // The scratch stack: blocks [0, scratch_top_) are held by live leases.
   struct ScratchBlock {
     std::unique_ptr<real_t[]> data;
     std::size_t capacity = 0;
   };
   std::vector<ScratchBlock> scratch_;
+  std::size_t scratch_top_ = 0;
 };
 
-/// Lends the team's scratch blocks to one solve, so that repeated solves
-/// reuse the memory of the first instead of allocating, zero-filling and
-/// page-faulting their vectors afresh: the set-up-once, execute-many
-/// amortization of §5.1.1 applied to the Krylov drivers' basis and work
-/// vectors.
+/// Lends blocks of the team's scratch stack to one solve, so that
+/// repeated solves reuse the memory of the first instead of allocating,
+/// zero-filling and page-faulting their vectors afresh: the set-up-once,
+/// execute-many amortization of §5.1.1 applied to the Krylov drivers'
+/// basis and work vectors and to other callers' temporaries.
 ///
-/// Making a lease moves the team's whole block list out; ending it, on the
-/// normal path or on unwind, moves the list back. `take(len)` returns the
-/// lease's next block: reused when it holds at least `len` values, else
-/// freed and replaced by an uninitialized block of `len`. Contents are
-/// unspecified (nothing is zero-filled). A lease made while another is
-/// live on the same team (a preconditioner that solves on its caller's
-/// team) finds the list empty and allocates its own blocks, so two leases
-/// never alias; the team keeps the list that comes back first and frees
-/// the other. The memory held is thus bounded by the largest blocks any
-/// solve took, and is freed with the team. Like `run`, leases serve one
-/// calling thread at a time per team.
+/// A lease records the stack's top when it is made. `take(len)` hands out
+/// the next block above it: reused when it holds at least `len` values,
+/// else freed and replaced by an uninitialized block of `len`. Contents
+/// are unspecified (nothing is zero-filled). Ending the lease, on the
+/// normal path or on unwind, restores the top. A lease made while another
+/// is live (a preconditioner that solves on its caller's team) takes the
+/// blocks above its parent's, so it never aliases them, and a repeated
+/// nested solve reuses the blocks the last one took. Leases end in the
+/// reverse order they were made, and only the newest live lease may
+/// `take` (both asserted in debug builds). The memory held is bounded by
+/// the largest blocks taken at each depth, and is freed with the team.
+/// Like `run`, leases serve one calling thread at a time per team.
 class ThreadTeam::ScratchLease {
  public:
-  explicit ScratchLease(ThreadTeam& team) noexcept;
+  explicit ScratchLease(ThreadTeam& team) noexcept
+      : team_(team), base_(team.scratch_top_), top_(base_) {}
   ~ScratchLease();
 
   ScratchLease(const ScratchLease&) = delete;
@@ -192,8 +229,8 @@ class ThreadTeam::ScratchLease {
 
  private:
   ThreadTeam& team_;
-  std::vector<ScratchBlock> blocks_;
-  std::size_t next_ = 0;
+  std::size_t base_;  // the team's top when the lease was made
+  std::size_t top_;   // one past this lease's last block
 };
 
 /// Sane default team size for a long-running process that also owns

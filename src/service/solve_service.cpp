@@ -464,17 +464,19 @@ void SolveService::flush_group(FactorEntry* entry,
         results[0].resize(static_cast<std::size_t>(n));
         entry->precond->apply(team, item.rhs, results[0]);
       } else {
-        batch_rhs_.resize(n, k);
-        batch_x_.resize(n, k);
+        ThreadTeam::ScratchLease lease(team);
+        const auto len = static_cast<std::size_t>(n) *
+                         static_cast<std::size_t>(k);
+        const BatchView rhs{lease.take(len).data(), n, k};
+        const BatchView x{lease.take(len).data(), n, k};
         for (index_t j = 0; j < k; ++j) {
-          batch_rhs_.set_column(
-              j, group[base + static_cast<std::size_t>(j)]->rhs);
+          rhs.set_column(j, group[base + static_cast<std::size_t>(j)]->rhs);
         }
-        entry->precond->apply_batch(team, batch_rhs_.view(), batch_x_.view());
+        entry->precond->apply_batch(team, rhs, x);
         for (index_t j = 0; j < k; ++j) {
           results[static_cast<std::size_t>(j)].resize(
               static_cast<std::size_t>(n));
-          batch_x_.get_column(j, results[static_cast<std::size_t>(j)]);
+          x.get_column(j, results[static_cast<std::size_t>(j)]);
         }
       }
     } catch (...) {

@@ -54,13 +54,14 @@
 /// their callbacks exactly once, in group order.
 ///
 /// The single consumer is also the concurrency story: only the solver
-/// thread ever touches the Runtime's `ThreadTeam` (whose `run` is not
-/// reentrant) or the bound kernels (which own scratch), so no team lock
-/// exists to contend. Happens-before for the reply path: a completion
-/// callback runs on the solver thread after the batch's team region has
-/// fully joined, so it reads the finished solution vector without extra
-/// synchronization; the transport's per-session write lock orders it
-/// against the session reader's own error replies.
+/// thread ever touches the Runtime's `ThreadTeam`, whose `run` is not
+/// reentrant and which owns all per-run state (the executors' ready array
+/// and progress counters, and the scratch the batches are gathered in),
+/// so no team lock exists to contend. Happens-before for the reply path:
+/// a completion callback runs on the solver thread after the batch's team
+/// region has fully joined, so it reads the finished solution vector
+/// without extra synchronization; the transport's per-session write lock
+/// orders it against the session reader's own error replies.
 ///
 /// **Shutdown** (`shutdown()`, also invoked by the destructor): new
 /// admissions are refused with `kShuttingDown`, everything already
@@ -234,10 +235,6 @@ class SolveService {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_width_hist_[kBatchWidthBuckets] = {};
   LatencyHistogram solve_latency_;
-
-  // Aggregator scratch, solver thread only.
-  BatchBuffer batch_rhs_;
-  BatchBuffer batch_x_;
 
   std::thread solver_;  // not started in manual_drain mode
 };

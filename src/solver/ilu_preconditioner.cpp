@@ -36,7 +36,7 @@ void IluPreconditioner::factor(ThreadTeam& team, const CsrMatrix& a) {
 
 void IluPreconditioner::apply(ThreadTeam& team, std::span<const real_t> r,
                               std::span<real_t> z) {
-  solver_->kernel().apply(team, r, z);
+  solver_->solve(team, r, z);
 }
 
 void IluPreconditioner::apply_batch(ThreadTeam& team, ConstBatchView r,

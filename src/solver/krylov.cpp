@@ -13,9 +13,9 @@
 #include "sparse/parallel_ops.hpp"
 
 // Every operator application in this file runs through bound kernels:
-// `SpMVKernel` for A (bound once per driver entry, validated structure,
-// pre-resolved pointers) and the preconditioner's kernels for M^{-1}, so
-// the full PCG/GMRES iteration is kernel-driven, single-RHS and batched.
+// `SpMVKernel` for A (its pointers resolved once per driver entry) and
+// the preconditioner's kernels for M^{-1}, so the full PCG/GMRES
+// iteration is kernel-driven, single-RHS and batched.
 namespace rtl {
 
 namespace {

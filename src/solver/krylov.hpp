@@ -48,13 +48,14 @@ struct KrylovResult {
 /// the solution on exit.
 ///
 /// Every driver below takes its n- and n×k-sized vectors from `team`'s
-/// scratch blocks (`ThreadTeam::ScratchLease`): a repeated solve on the
+/// scratch stack (`ThreadTeam::ScratchLease`): a repeated solve on the
 /// same team reuses the blocks, and their resident pages, that the last
 /// one left instead of allocating and zero-filling fresh ones, and the
 /// team frees them when it is destroyed. Only the small per-solve arrays
 /// (Hessenberg data, rotations, per-column scalars, the results) are
 /// allocated per call. A preconditioner may itself solve on `team` from
-/// inside `apply`: the nested solve borrows blocks of its own.
+/// inside `apply`: the nested solve takes the blocks above its caller's,
+/// and a repeated nested solve reuses them.
 KrylovResult pcg_solve(ThreadTeam& team, const CsrMatrix& a,
                        std::span<const real_t> b, std::span<real_t> x,
                        Preconditioner* precond,

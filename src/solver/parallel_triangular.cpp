@@ -55,10 +55,8 @@ void ParallelTriangularSolver::solve_upper(ThreadTeam& team,
 
 void ParallelTriangularSolver::solve(ThreadTeam& team,
                                      std::span<const real_t> rhs,
-                                     std::span<real_t> tmp,
                                      std::span<real_t> y) {
-  single_.lower().solve(team, rhs, tmp);
-  single_.upper().solve(team, tmp, y);
+  single_.apply(team, rhs, y);
 }
 
 void ParallelTriangularSolver::solve_lower(ThreadTeam& team,

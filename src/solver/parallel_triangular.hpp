@@ -47,17 +47,18 @@ class ParallelTriangularSolver {
   void solve_upper(ThreadTeam& team, std::span<const real_t> rhs,
                    std::span<real_t> y);
 
-  /// y <- U^{-1} L^{-1} rhs (the ILU application).
+  /// y <- U^{-1} L^{-1} rhs (the ILU application; the backward solve runs
+  /// in place on y, so no intermediate is needed). `rhs` and `y` must not
+  /// overlap.
   void solve(ThreadTeam& team, std::span<const real_t> rhs,
-             std::span<real_t> tmp, std::span<real_t> y);
+             std::span<real_t> y);
 
   /// Batched variants: one sweep solves every column of the k-wide batch,
   /// paying the per-wavefront synchronization once regardless of k.
   /// Results are bit-for-bit identical to k single-RHS solves. Like the
-  /// kernels, `solve_lower` / `solve_upper` may run concurrently from
-  /// distinct teams on distinct outputs, the first batched call included:
-  /// the batched kernels are bound exactly once. (`solve` goes through
-  /// one shared intermediate, so one at a time.)
+  /// kernels, every solve may run concurrently from distinct teams on
+  /// distinct outputs, the first batched call included: the batched
+  /// kernels are bound exactly once.
   void solve_lower(ThreadTeam& team, ConstBatchView rhs, BatchView y);
   void solve_upper(ThreadTeam& team, ConstBatchView rhs, BatchView y);
   void solve(ThreadTeam& team, ConstBatchView rhs, BatchView y);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "kernel/batch.hpp"
 #include "runtime/thread_team.hpp"
@@ -21,8 +20,10 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
 
-  /// Apply the preconditioner. `r` and `z` have the system dimension;
-  /// implementations may use internal scratch state (calls are not
+  /// Apply the preconditioner. `r` and `z` have the system dimension and
+  /// do not overlap. Implementations may take temporaries from `team`'s
+  /// scratch stack (`ThreadTeam::ScratchLease`), as the default
+  /// `apply_batch` does, or keep internal scratch state (calls are not
   /// required to be reentrant).
   virtual void apply(ThreadTeam& team, std::span<const real_t> r,
                      std::span<real_t> z) = 0;
@@ -30,15 +31,15 @@ class Preconditioner {
   /// Batched apply: z(:, j) <- M^{-1} r(:, j) for every column of the
   /// k-wide row-major batch. Named distinctly from `apply` so a subclass
   /// overriding only the single-RHS virtual does not name-hide this one.
-  /// The default gathers each column and loops single applies — correct
-  /// for any implementation; `IluPreconditioner` overrides it with the
-  /// fused batched kernels (one synchronization sweep for all k columns).
+  /// The default gathers each column into a vector leased from `team` and
+  /// loops single applies — correct for any implementation;
+  /// `IluPreconditioner` overrides it with the fused batched kernels (one
+  /// synchronization sweep for all k columns).
   virtual void apply_batch(ThreadTeam& team, ConstBatchView r, BatchView z) {
-    const index_t n = r.rows();
-    const index_t k = r.width();
-    std::vector<real_t> rj(static_cast<std::size_t>(n));
-    std::vector<real_t> zj(static_cast<std::size_t>(n));
-    for (index_t j = 0; j < k; ++j) {
+    const auto n = static_cast<std::size_t>(r.rows());
+    ThreadTeam::ScratchLease lease(team);
+    const std::span<real_t> rj = lease.take(n), zj = lease.take(n);
+    for (index_t j = 0; j < r.width(); ++j) {
       r.get_column(j, rj);
       apply(team, rj, zj);
       z.set_column(j, zj);

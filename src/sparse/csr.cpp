@@ -25,12 +25,13 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> ptr,
   if (ptr_.front() != 0 || ptr_.back() != static_cast<index_t>(col_.size())) {
     throw std::invalid_argument("CsrMatrix: ptr bounds mismatch");
   }
+  // The whole pointer must be monotone before any row's columns are read:
+  // with front 0 and back nnz, every entry then lies in [0, nnz].
+  if (!std::is_sorted(ptr_.begin(), ptr_.end())) {
+    throw std::invalid_argument("CsrMatrix: ptr not monotone");
+  }
   for (index_t i = 0; i < rows; ++i) {
     const auto cs = row_cols(i);
-    if (ptr_[static_cast<std::size_t>(i)] >
-        ptr_[static_cast<std::size_t>(i) + 1]) {
-      throw std::invalid_argument("CsrMatrix: ptr not monotone");
-    }
     for (std::size_t k = 0; k < cs.size(); ++k) {
       if (cs[k] < 0 || cs[k] >= cols) {
         throw std::invalid_argument("CsrMatrix: column index out of range");

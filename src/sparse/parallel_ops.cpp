@@ -53,15 +53,6 @@ void par_copy(ThreadTeam& team, std::span<const real_t> src,
                        });
 }
 
-void par_fill(ThreadTeam& team, real_t value, std::span<real_t> dst) {
-  team.parallel_blocks(static_cast<index_t>(dst.size()),
-                       [&](int, index_t b, index_t e) {
-                         for (index_t i = b; i < e; ++i) {
-                           dst[static_cast<std::size_t>(i)] = value;
-                         }
-                       });
-}
-
 void par_scale(ThreadTeam& team, real_t a, std::span<real_t> x) {
   team.parallel_blocks(static_cast<index_t>(x.size()),
                        [&](int, index_t b, index_t e) {

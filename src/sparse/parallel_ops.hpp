@@ -35,9 +35,6 @@ void par_xpby(ThreadTeam& team, std::span<const real_t> x, real_t b,
 void par_copy(ThreadTeam& team, std::span<const real_t> src,
               std::span<real_t> dst);
 
-/// dst <- value over the team.
-void par_fill(ThreadTeam& team, real_t value, std::span<real_t> dst);
-
 /// x <- a*x over the team.
 void par_scale(ThreadTeam& team, real_t a, std::span<real_t> x);
 

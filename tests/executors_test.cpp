@@ -282,23 +282,6 @@ TEST_P(ExecutorsTest, PlanIsReusableAcrossExecutions) {
   }
 }
 
-TEST_P(ExecutorsTest, ParallelInspectorProducesSamePlan) {
-  ThreadTeam team(GetParam());
-  auto loop = SimpleLoop::make(512, 22);
-  DoconsiderOptions seq_opts;
-  DoconsiderOptions par_opts;
-  par_opts.parallel_inspector = true;
-  const Plan a(team, loop.dependences(), seq_opts);
-  const Plan b(team, loop.dependences(), par_opts);
-  EXPECT_EQ(a.wavefronts().wave, b.wavefronts().wave);
-  EXPECT_EQ(a.wavefronts().order, b.wavefronts().order);
-  EXPECT_EQ(a.wavefronts().wave_ptr, b.wavefronts().wave_ptr);
-  EXPECT_EQ(a.schedule().order, b.schedule().order);
-  EXPECT_EQ(a.schedule().proc_ptr, b.schedule().proc_ptr);
-  EXPECT_EQ(a.schedule().phase_ptr, b.schedule().phase_ptr);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
-}
-
 TEST(ExecutorsEdge, EmptyLoopIsANoop) {
   ThreadTeam team(4);
   int count = 0;

@@ -1,8 +1,8 @@
 // Tests for the kernel layer: batch views/buffers, BoundKernel binding
 // validation (error paths must throw, never UB), fused single-RHS solves
 // against the sequential references, batched solves pinned bit-for-bit to
-// sequential single-RHS solves, the IluApplyKernel composition, and the
-// batch-aware ExecState plumbing.
+// sequential single-RHS solves (in place as well), the IluApplyKernel
+// composition, and concurrent solves and applies from distinct teams.
 
 #include <gtest/gtest.h>
 
@@ -206,7 +206,7 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
   const index_t n = f.ilu.size();
   for (const auto exec :
        {ExecutionPolicy::kPreScheduled, ExecutionPolicy::kSelfExecuting,
-        ExecutionPolicy::kPointToPoint}) {
+        ExecutionPolicy::kDoAcross, ExecutionPolicy::kPointToPoint}) {
     DoconsiderOptions opts;
     opts.execution = exec;
     auto lk = BoundKernel::lower(lower_plan_for(team, f.ilu, opts),
@@ -227,19 +227,31 @@ TEST_P(KernelSolveTest, BatchedSolveIsBitForBitKSingleSolves) {
         }
         rhs.set_column(j, col);
       }
+      // In place (rhs == x) must give the same bits, single and k = 3.
+      const bool in_place = k == 1 || k == 3;
       for (auto* kern : {&lk, &uk}) {
         kern->solve(team, rhs.view(), got.view());
+        BatchBuffer same = rhs;
+        if (in_place) kern->solve(team, same.view(), same.view());
         std::vector<real_t> colr(static_cast<std::size_t>(n));
         std::vector<real_t> colx(static_cast<std::size_t>(n));
         for (index_t j = 0; j < k; ++j) {
           rhs.get_column(j, colr);
           kern->solve(team, colr, colx);
+          if (in_place) kern->solve(team, colr, colr);
           for (index_t i = 0; i < n; ++i) {
-            ASSERT_EQ(got.view().at(i, j),
-                      colx[static_cast<std::size_t>(i)])
-                << "exec=" << static_cast<int>(exec) << " kind="
-                << static_cast<int>(kern->kind()) << " k=" << k
-                << " col=" << j << " row=" << i;
+            const real_t want = colx[static_cast<std::size_t>(i)];
+            const auto where = [&] {
+              return ::testing::Message()
+                     << "exec=" << static_cast<int>(exec) << " kind="
+                     << static_cast<int>(kern->kind()) << " k=" << k
+                     << " col=" << j << " row=" << i;
+            };
+            ASSERT_EQ(got.view().at(i, j), want) << where();
+            if (!in_place) continue;
+            ASSERT_EQ(same.view().at(i, j), want) << where() << " batched";
+            ASSERT_EQ(colr[static_cast<std::size_t>(i)], want)
+                << where() << " single";
           }
         }
       }
@@ -263,8 +275,7 @@ TEST_P(KernelSolveTest, IluApplyKernelMatchesSequentialLUSolve) {
   apply.apply(team, f.system.rhs, got);
   EXPECT_EQ(got, ref);
 
-  // Batched apply equals column-by-column applies (after a single apply
-  // already used the scratch buffer, exercising the regrow path).
+  // Batched apply equals column-by-column applies.
   const index_t k = 4;
   BatchBuffer r(n, k), z(n, k);
   for (index_t j = 0; j < k; ++j) {
@@ -308,7 +319,7 @@ TEST_P(KernelSolveTest, RefactorizationIsVisibleThroughBoundKernels) {
 
 TEST(KernelConcurrency, TwoTeamsSolveThroughOneKernelSimultaneously) {
   // Like the shared-plan concurrency contract (plan_test): per-execution
-  // state comes from the plan's pool, so one BoundKernel may serve
+  // state belongs to the executing team, so one BoundKernel may serve
   // concurrent solves from distinct same-size teams on distinct output
   // vectors. Runs under the TSan CI job.
   constexpr int kTeamSize = 2;
@@ -383,6 +394,62 @@ TEST(KernelConcurrency, TwoTeamsBindTheBatchedKernelsOnce) {
           expected[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
       ASSERT_EQ(ya.view().at(i, j), want) << "team a col=" << j;
       ASSERT_EQ(yb.view().at(i, j), want) << "team b col=" << j;
+    }
+  }
+}
+
+TEST(KernelConcurrency, TwoTeamsApplyOnePreconditionerSimultaneously) {
+  // An IluPreconditioner holds no scratch (the backward solve runs in
+  // place on the output), so two teams of its size may apply it at once,
+  // single and batched, each result bit-equal to the same apply on the
+  // Runtime's team. Runs under the TSan CI job.
+  constexpr int kTeamSize = 2;
+  constexpr index_t kWidth = 3;
+  constexpr int kRounds = 3;
+  Runtime rt(kTeamSize);
+  const auto sys = make_5pt().system;
+  const index_t n = sys.a.rows();
+  const auto nz = static_cast<std::size_t>(n);
+  IluPreconditioner precond(rt, sys.a, 0);
+  precond.factor(rt.team(), sys.a);
+  BatchBuffer r(n, kWidth);
+  for (index_t j = 0; j < kWidth; ++j) {
+    std::vector<real_t> col(sys.rhs);
+    for (auto& v : col) v *= 1.0 + 0.5 * static_cast<real_t>(j);
+    r.set_column(j, col);
+  }
+  std::vector<real_t> want(nz);
+  BatchBuffer want_batch(n, kWidth);
+  precond.apply(rt.team(), sys.rhs, want);
+  precond.apply_batch(rt.team(), r.view(), want_batch.view());
+
+  struct Side {
+    ThreadTeam team{kTeamSize};
+    std::vector<real_t> z;
+    BatchBuffer zb;
+  };
+  Side a, b;
+  for (Side* side : {&a, &b}) {
+    side->z.resize(nz);
+    side->zb.resize(n, kWidth);
+  }
+  const auto run = [&](Side& side) {
+    for (int round = 0; round < kRounds; ++round) {
+      precond.apply(side.team, sys.rhs, side.z);
+      precond.apply_batch(side.team, r.view(), side.zb.view());
+    }
+  };
+  std::thread worker([&] { run(b); });
+  run(a);
+  worker.join();
+
+  for (const Side* side : {&a, &b}) {
+    EXPECT_EQ(side->z, want);
+    for (index_t j = 0; j < kWidth; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(side->zb.view().at(i, j), want_batch.view().at(i, j))
+            << "col=" << j << " row=" << i;
+      }
     }
   }
 }

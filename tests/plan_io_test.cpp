@@ -444,9 +444,9 @@ TEST(PlanIoCorruption, StoredFingerprintMismatchIsRejected) {
 
 TEST(PlanIoCorruption, NonNormalizedOptionsAreRejected) {
   // None of these header bytes can have come from save_plan: the retired
-  // window and panel fields are always 0, execution codes 3-5 belonged to
-  // deleted executors, and the default point-to-point policy normalizes
-  // `instrumented` to 0.
+  // window, panel and parallel-inspector fields are always 0, execution
+  // codes 3-5 belonged to deleted executors, and the default
+  // point-to-point policy normalizes `instrumented` to 0.
   ThreadTeam team(2);
   const auto g = random_dag(16, 2, test_seed(8));
   const Plan plan(team, DependenceGraph(g), {});
@@ -461,6 +461,7 @@ TEST(PlanIoCorruption, NonNormalizedOptionsAreRejected) {
       {60, 4},
       {60, 5},
       {80, 1},  // instrumented
+      {81, 1},  // parallel inspector, u8 at offset 81
   };
   for (const auto& patch : patches) {
     std::string image = pristine;

@@ -1,8 +1,8 @@
 // Tests for the Plan/Runtime API v2: immutable shareable plans, the
 // unified executor dispatch (every ExecutionPolicy through Plan::execute),
-// per-execution ExecState pooling, concurrent execution of one shared plan
-// from distinct teams, the structure fingerprint, and the Runtime's
-// structure-keyed plan cache.
+// the team-owned per-execution state (one ready array for plans of every
+// size), concurrent execution of one shared plan from distinct teams, the
+// structure fingerprint, and the Runtime's structure-keyed plan cache.
 
 #include <gtest/gtest.h>
 
@@ -119,22 +119,7 @@ TEST_P(PlanTest, InstrumentedRotatingVariantsRunEveryIndexPTimes) {
   }
 }
 
-TEST_P(PlanTest, ExplicitExecStateIsReusableAcrossExecutions) {
-  ThreadTeam team(GetParam());
-  auto loop = SimpleLoop::make(388, 73);
-  DoconsiderOptions opts;
-  opts.execution = ExecutionPolicy::kSelfExecuting;
-  const Plan plan(team, loop.dependences(), opts);
-  ExecState state(plan);
-  const auto expected = loop.sequential_result();
-  for (int rep = 0; rep < 4; ++rep) {
-    std::vector<real_t> x = loop.x0;
-    plan.execute(team, loop.body(x), state);
-    EXPECT_EQ(x, expected) << "repetition " << rep;
-  }
-}
-
-TEST_P(PlanTest, PooledExecuteIsRepeatable) {
+TEST_P(PlanTest, RepeatedExecutionsMatchSequential) {
   ThreadTeam team(GetParam());
   auto loop = SimpleLoop::make(300, 74);
   DoconsiderOptions opts;
@@ -161,7 +146,6 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
     DoconsiderOptions opts;
     opts.execution = exec;
     const Plan plan(team, loop.dependences(), opts);
-    ExecState state(plan);
 
     // Batch j scales the start vector by (j+1); row-major n x k storage.
     std::vector<real_t> batch(static_cast<std::size_t>(n * kWidth));
@@ -180,7 +164,7 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             loop.b[static_cast<std::size_t>(i)] *
             batch[static_cast<std::size_t>(d * kWidth + j)];
       }
-    }, state);
+    });
 
     for (index_t j = 0; j < kWidth; ++j) {
       std::vector<real_t> x(static_cast<std::size_t>(n));
@@ -189,7 +173,7 @@ TEST_P(PlanTest, BatchedExecuteMatchesKIndependentExecutions) {
             loop.x0[static_cast<std::size_t>(i)] *
             static_cast<real_t>(j + 1);
       }
-      plan.execute(team, loop.body(x), state);
+      plan.execute(team, loop.body(x));
       for (index_t i = 0; i < n; ++i) {
         ASSERT_EQ(batch[static_cast<std::size_t>(i * kWidth + j)],
                   x[static_cast<std::size_t>(i)])
@@ -208,7 +192,6 @@ TEST_P(PlanTest, PointToPointPublishesOncePerSlabAndNeverBarriers) {
   auto loop = SimpleLoop::make(457, 77);
   const Plan plan(team, loop.dependences());
   ASSERT_EQ(plan.options().execution, ExecutionPolicy::kPointToPoint);
-  ASSERT_FALSE(plan.needs_ready_flags());
   std::uint64_t slabs = 0;
   for (int p = 0; p < plan.nproc(); ++p) {
     for (index_t w = 0; w < plan.schedule().num_phases; ++w) {
@@ -225,10 +208,47 @@ TEST_P(PlanTest, PointToPointPublishesOncePerSlabAndNeverBarriers) {
     EXPECT_EQ(c.barrier_waits, 0u) << "repetition " << rep;
     EXPECT_EQ(c.steals, 0u) << "repetition " << rep;
   }
+  // The team's ready array was never grown for it.
+  EXPECT_EQ(team.reset_ready(0).size(), 0);
   // A one-processor team waits on nobody.
   if (team.size() == 1) {
     EXPECT_TRUE(plan.waits().waits.empty());
   }
+}
+
+TEST_P(PlanTest, TeamReadyArrayServesPlansOfEverySize) {
+  // One team's ready array serves every flag-based run: it grows to the
+  // largest n a run needed, and each run clears only the flags [0, n) it
+  // reads. A small plan after a large one, and a large one after a
+  // rotating run that left every flag set, must still wait for their
+  // producers.
+  ThreadTeam team(GetParam());
+  const SimpleLoop big = SimpleLoop::make(400, 78);
+  const SimpleLoop small = SimpleLoop::make(50, 79);
+  const auto check = [&](const SimpleLoop& loop, ExecutionPolicy exec) {
+    DoconsiderOptions opts;
+    opts.execution = exec;
+    const Plan plan(team, loop.dependences(), opts);
+    std::vector<real_t> x = loop.x0;
+    plan.execute(team, loop.body(x));
+    EXPECT_EQ(x, loop.sequential_result())
+        << "n=" << plan.size() << " exec=" << static_cast<int>(exec);
+  };
+  check(big, ExecutionPolicy::kSelfExecuting);
+  check(big, ExecutionPolicy::kDoAcross);
+  DoconsiderOptions rotating;
+  rotating.execution = ExecutionPolicy::kSelfExecuting;
+  rotating.instrumented = true;
+  std::atomic<int> rows{0};
+  Plan(team, big.dependences(), rotating).execute(team, [&](index_t) {
+    rows.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(rows.load(), 400 * team.size());
+  check(small, ExecutionPolicy::kSelfExecuting);
+  check(small, ExecutionPolicy::kDoAcross);
+  check(big, ExecutionPolicy::kSelfExecuting);
+  check(big, ExecutionPolicy::kDoAcross);
+  EXPECT_EQ(team.reset_ready(0).size(), 400);
 }
 
 INSTANTIATE_TEST_SUITE_P(Teams, PlanTest, ::testing::Values(1, 2, 4));
@@ -236,7 +256,7 @@ INSTANTIATE_TEST_SUITE_P(Teams, PlanTest, ::testing::Values(1, 2, 4));
 TEST(PlanConcurrency, TwoTeamsExecuteTheSameSharedPlanSimultaneously) {
   // The v2 contract the old v1 plan type could not honor: one const Plan,
   // two independent thread teams, concurrent executions on independent
-  // vectors (per-execution state comes from the plan's pool). Both results
+  // vectors (per-execution state belongs to each team). Both results
   // must match the sequential reference. Runs under the TSan CI job.
   constexpr int kTeamSize = 2;
   constexpr int kRounds = 3;
@@ -344,7 +364,6 @@ TEST(RuntimeCache, IrrelevantOptionFieldsAreNormalizedInTheKey) {
   a.instrumented = true;  // meaningless for kPointToPoint
   DoconsiderOptions b = a;
   b.instrumented = false;
-  b.parallel_inspector = true;  // build-speed knob, not an artifact knob
   const auto pa = rt.plan_for(DependenceGraph(g), a);
   const auto pb = rt.plan_for(DependenceGraph(g), b);
   EXPECT_EQ(pa.get(), pb.get());

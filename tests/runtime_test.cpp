@@ -228,15 +228,28 @@ TEST(ReadyFlags, SetAndTest) {
 TEST(ReadyFlags, ResetClearsAll) {
   ReadyFlags flags(5);
   for (index_t i = 0; i < 5; ++i) flags.set(i);
-  flags.reset();
+  flags.reset(5);
   for (index_t i = 0; i < 5; ++i) EXPECT_FALSE(flags.is_set(i));
 }
 
+TEST(ReadyFlags, ResetGrowsAndClearsOnlyThePrefix) {
+  ReadyFlags flags(4);
+  for (index_t i = 0; i < 4; ++i) flags.set(i);
+  flags.reset(2);  // a smaller run: flags 2 and 3 are left as they are
+  EXPECT_EQ(flags.size(), 4);
+  EXPECT_FALSE(flags.is_set(0));
+  EXPECT_FALSE(flags.is_set(1));
+  EXPECT_TRUE(flags.is_set(2));
+  EXPECT_TRUE(flags.is_set(3));
+  flags.reset(6);  // a larger run grows the array, all clear
+  EXPECT_EQ(flags.size(), 6);
+  for (index_t i = 0; i < 6; ++i) EXPECT_FALSE(flags.is_set(i));
+}
+
 TEST(ReadyFlags, WaitReturnsImmediatelyWhenSet) {
-  ThreadTeam team(1);
   ReadyFlags flags(2);
   flags.set(1);
-  EXPECT_TRUE(flags.wait(1, team));  // must not hang
+  EXPECT_TRUE(flags.wait(1));  // must not hang
 }
 
 TEST(ReadyFlags, PublishesDataAcrossThreads) {
@@ -251,7 +264,7 @@ TEST(ReadyFlags, PublishesDataAcrossThreads) {
         payload = 42;
         flags.set(0);
       } else {
-        EXPECT_TRUE(flags.wait(0, team));
+        EXPECT_TRUE(flags.wait(0));
         EXPECT_EQ(payload, 42);
       }
     });

@@ -227,6 +227,37 @@ TEST(ServiceProtocolTest, OversizedElementCountRejectedBeforeAllocation) {
   expect_errc(ServiceErrc::kBadFrame, [&] { (void)parse_message(frame); });
 }
 
+TEST(ServiceProtocolTest, NonMonotoneUploadRowPointerRejected) {
+  // A sealed upload of a 1,000-row diagonal matrix whose row pointer is
+  // {0, 2000, 1000, ..., 1000}: both ends are valid, so only a check of
+  // the whole pointer, before any row's columns are read, keeps row 0
+  // from reading past the column array.
+  constexpr index_t n = 1000;
+  std::vector<index_t> ptr(static_cast<std::size_t>(n) + 1);
+  std::vector<index_t> col(static_cast<std::size_t>(n));
+  for (index_t i = 0; i <= n; ++i) ptr[static_cast<std::size_t>(i)] = i;
+  for (index_t i = 0; i < n; ++i) col[static_cast<std::size_t>(i)] = i;
+  UploadMatrixMsg msg;
+  msg.request_id = 3;
+  msg.matrix_id = 4;
+  msg.matrix = CsrMatrix(n, n, std::move(ptr), std::move(col),
+                         std::vector<real_t>(static_cast<std::size_t>(n), 1.0));
+  std::vector<unsigned char> frame = encode_message(msg);
+  // The row pointer follows the payload's 32 bytes of ids and counts.
+  const auto patch_ptr = [&](index_t i, std::uint32_t value) {
+    const std::size_t at =
+        kFrameHeaderBytes + 32 + static_cast<std::size_t>(i) * 4;
+    for (int b = 0; b < 4; ++b) {
+      frame[at + static_cast<std::size_t>(b)] =
+          static_cast<unsigned char>(value >> (8 * b));
+    }
+  };
+  patch_ptr(1, 2 * n);
+  for (index_t i = 2; i < n; ++i) patch_ptr(i, n);
+  reseal(frame);
+  expect_errc(ServiceErrc::kBadFrame, [&] { (void)parse_message(frame); });
+}
+
 TEST(ServiceProtocolTest, EveryByteFlipIsDetected) {
   const std::vector<unsigned char> reference = sample_frame();
   for (std::size_t i = 0; i < reference.size(); ++i) {

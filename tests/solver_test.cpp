@@ -58,11 +58,10 @@ TEST_P(TriangularSolverTest, MatchesSequentialSolves) {
 
   const index_t n = prob.system.a.rows();
   std::vector<real_t> rhs(prob.system.rhs);
-  std::vector<real_t> tmp(static_cast<std::size_t>(n)),
-      y_par(static_cast<std::size_t>(n)), y_seq(static_cast<std::size_t>(n)),
-      tmp_seq(static_cast<std::size_t>(n));
+  std::vector<real_t> y_par(static_cast<std::size_t>(n)),
+      y_seq(static_cast<std::size_t>(n)), tmp_seq(static_cast<std::size_t>(n));
 
-  solver.solve(team, rhs, tmp, y_par);
+  solver.solve(team, rhs, y_par);
   solve_lower_unit(ilu.lower(), rhs, tmp_seq);
   solve_upper(ilu.upper(), tmp_seq, y_seq);
 
@@ -86,11 +85,11 @@ TEST(TriangularSolverRepeat, SolvesAreRepeatable) {
   ilu.factor(sys.a);
   ParallelTriangularSolver solver(rt, ilu);
   const index_t n = sys.a.rows();
-  std::vector<real_t> tmp(static_cast<std::size_t>(n)),
-      y1(static_cast<std::size_t>(n)), y2(static_cast<std::size_t>(n));
-  solver.solve(team, sys.rhs, tmp, y1);
+  std::vector<real_t> y1(static_cast<std::size_t>(n)),
+      y2(static_cast<std::size_t>(n));
+  solver.solve(team, sys.rhs, y1);
   for (int rep = 0; rep < 10; ++rep) {
-    solver.solve(team, sys.rhs, tmp, y2);
+    solver.solve(team, sys.rhs, y2);
     EXPECT_EQ(y1, y2) << "rep " << rep;
   }
 }

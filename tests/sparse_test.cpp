@@ -127,6 +127,10 @@ TEST(CsrMatrixTest, RejectsMalformedInput) {
                std::invalid_argument);  // unsorted columns
   EXPECT_THROW(CsrMatrix(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}),
                std::invalid_argument);  // duplicate column
+  // An interior pointer above nnz, with valid ends: row 0 would read past
+  // the column array if rows were walked before the pointer was checked.
+  EXPECT_THROW(CsrMatrix(2, 2, {0, 4, 2}, {0, 1}, {1.0, 1.0}),
+               std::invalid_argument);
 }
 
 TEST(CooBuilderTest, BuildsSortedCsr) {
@@ -264,9 +268,8 @@ TEST_P(ParallelOpsTest, NormMatchesSequential) {
 
 TEST_P(ParallelOpsTest, CopyFillScale) {
   ThreadTeam team(GetParam());
-  std::vector<real_t> a(100, 0.0), b(100);
-  par_fill(team, 3.0, a);
-  for (const real_t v : a) EXPECT_DOUBLE_EQ(v, 3.0);
+  const std::vector<real_t> a(100, 3.0);
+  std::vector<real_t> b(100);
   par_copy(team, a, b);
   for (const real_t v : b) EXPECT_DOUBLE_EQ(v, 3.0);
   par_scale(team, -2.0, b);

@@ -344,8 +344,9 @@ TEST(KrylovStressTest, BatchedGmresColumnsMatchSingleRhsAtEveryTeamSize) {
 // ---------------------------------------------------------------------
 // Team-owned Krylov scratch (ThreadTeam::ScratchLease) under TSan: the
 // drivers reuse their team's blocks across solves, a preconditioner that
-// solves on its caller's team nests a second lease, a throw unwinds one,
-// and two Runtimes lease concurrently.
+// solves on its caller's team nests a second lease on the same stack (and
+// reuses its blocks the next time), a throw unwinds one, and two Runtimes
+// lease concurrently.
 // ---------------------------------------------------------------------
 
 using krylov_cases::Driver;
@@ -418,13 +419,14 @@ TEST(KrylovScratchStressTest, RepeatedSolvesReuseTheSameBlocks) {
   }
 }
 
-/// z <- a few unpreconditioned GMRES steps on A z = r from z = 0, run on
-/// `inner` when set, else on the caller's team: a solve nested inside the
-/// caller's solve.
+/// z <- a few GMRES steps on A z = r from z = 0, preconditioned by
+/// `precond` (none when null), run on `inner` when set, else on the
+/// caller's team: a solve nested inside the caller's solve.
 class SolvingPreconditioner : public Preconditioner {
  public:
-  SolvingPreconditioner(const CsrMatrix& a, ThreadTeam* inner)
-      : a_(a), inner_(inner) {}
+  SolvingPreconditioner(const CsrMatrix& a, ThreadTeam* inner,
+                        Preconditioner* precond = nullptr)
+      : a_(a), inner_(inner), precond_(precond) {}
   void apply(ThreadTeam& team, std::span<const real_t> r,
              std::span<real_t> z) override {
     KrylovOptions opt;
@@ -432,20 +434,22 @@ class SolvingPreconditioner : public Preconditioner {
     opt.restart = 3;
     opt.max_iterations = 5;
     std::fill(z.begin(), z.end(), 0.0);
-    (void)gmres_solve(inner_ != nullptr ? *inner_ : team, a_, r, z, nullptr,
+    (void)gmres_solve(inner_ != nullptr ? *inner_ : team, a_, r, z, precond_,
                       opt);
   }
 
  private:
   const CsrMatrix& a_;
   ThreadTeam* inner_;
+  Preconditioner* precond_;
 };
 
 TEST(KrylovScratchStressTest, NestedLeasesDoNotAlias) {
   // The preconditioner's GMRES leases the caller's team while the outer
-  // solve's lease is live: it must find no blocks and take its own. The
-  // outer solve must equal the one whose preconditioner solves on a second
-  // team of the same size; a second round checks the list the team kept.
+  // solve's lease is live: it must take the blocks above the outer
+  // lease's. The outer solve must equal the one whose preconditioner
+  // solves on a second team of the same size; a second round checks the
+  // blocks the team kept.
   const std::uint64_t seed = test_seed(42);
   SCOPED_TRACE(seed_trace(seed));
   const auto sys = five_point(8, 8);
@@ -462,6 +466,36 @@ TEST(KrylovScratchStressTest, NestedLeasesDoNotAlias) {
       for (int round = 0; round < 2; ++round) {
         expect_same_solve(solve_on(team, d, sys.a, &nested, b, opt), want);
       }
+    }
+  }
+}
+
+TEST(KrylovScratchStressTest, NestedLeasesReuseTheirBlocks) {
+  // A preconditioner runs GMRES on its caller's team, itself preconditioned
+  // by a recorder. Two successive outer solves must hand the recorder the
+  // same output pointers in the same order: the nested leases take the
+  // same blocks of the team's stack each time, and allocate none.
+  const std::uint64_t seed = test_seed(45);
+  SCOPED_TRACE(seed_trace(seed));
+  const auto sys = five_point(8, 8);
+  const BatchBuffer b = random_rhs(sys.a.rows(), 3, seed);
+  KrylovOptions opt = scratch_options();
+  opt.max_iterations = 10;
+  for (const int p : {1, 2, 4}) {
+    Runtime rt(p, 0, "");
+    IluPreconditioner ilu(rt, sys.a, 0);
+    ilu.factor(rt.team(), sys.a);
+    for (const Driver d : kDrivers) {
+      SCOPED_TRACE(::testing::Message() << "procs=" << p << " driver="
+                                        << static_cast<int>(d));
+      RecordingPreconditioner first(ilu), second(ilu);
+      SolvingPreconditioner outer_first(sys.a, nullptr, &first);
+      SolvingPreconditioner outer_second(sys.a, nullptr, &second);
+      const Solve x = solve_on(rt.team(), d, sys.a, &outer_first, b, opt);
+      const Solve y = solve_on(rt.team(), d, sys.a, &outer_second, b, opt);
+      EXPECT_GT(first.outputs.size(), 2u);
+      EXPECT_EQ(second.outputs, first.outputs);
+      expect_same_solve(y, x);
     }
   }
 }
